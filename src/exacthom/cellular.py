@@ -137,8 +137,12 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
 
 def homology_of(cc: CellComplex) -> CohomologyResult:
     """Homology in geometric (lower) indices i >= 0."""
-    coh = chain_complex_of(cc).cohomology()
-    return CohomologyResult({-n: v for n, v in coh.dims.items()})
+    return _homology(chain_complex_of(cc))
+
+
+def _homology(chains: CochainComplex) -> CohomologyResult:
+    """Homology of a complex built by chain_complex_of, in lower indices."""
+    return CohomologyResult({-n: v for n, v in chains.cohomology().dims.items()})
 
 
 def circle() -> CellComplex:
@@ -207,7 +211,7 @@ def classify_surface(cc: CellComplex) -> SurfaceVerdict:
     dimension 2; orientability is an assumption on the input, not checked.
     """
     complex_ = chain_complex_of(cc)
-    h = homology_of(cc)
+    h = _homology(complex_)
     if h.dim(0) != 1:
         raise ClassificationError(
             f"not classifiable: dim H_0 = {h.dim(0)}, expected 1 (connected)"

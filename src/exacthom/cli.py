@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence, Union
 
 from .cellular import CellComplex, builtin as builtin_cell
-from .cellular import chain_complex_of, classify_surface, homology_of
+from .cellular import chain_complex_of, classify_surface
 from .classify import SampleConfig, run_check
 from .complexes import CochainComplex
 from .errors import ClassificationError, ExactHomError, FormatError
@@ -35,16 +35,15 @@ _BUILTIN_REPRESENTATIONS = {
 }
 
 
-def _resolve_homology_input(source: str) -> Union[CellComplex, CochainComplex]:
+def _resolve_homology_input(
+    source: str, cells_only: bool = False
+) -> Union[CellComplex, CochainComplex]:
+    """A builtin cell complex, or a file; cells_only refuses cochain-complex files."""
     if source.startswith(BUILTIN_PREFIX):
         return builtin_cell(source[len(BUILTIN_PREFIX):])
+    if cells_only:
+        return load_cell_complex(source)
     return load_homology_input(source)
-
-
-def _resolve_cell_input(source: str) -> CellComplex:
-    if source.startswith(BUILTIN_PREFIX):
-        return builtin_cell(source[len(BUILTIN_PREFIX):])
-    return load_cell_complex(source)
 
 
 def _resolve_representation(source: str) -> Representation:
@@ -66,25 +65,25 @@ def _emit(args, text: str, payload) -> None:
 def cmd_homology(args) -> int:
     target = _resolve_homology_input(args.source)
     if isinstance(target, CellComplex):
+        # chain degree i is cochain degree -i
         complex_ = chain_complex_of(target)
-        h = homology_of(target)
-        lo, hi = 0, target.max_dim()
+        lo, hi, sign = 0, target.max_dim(), -1
     else:
         complex_ = target
-        h = complex_.cohomology()
         degrees = complex_.space.degrees() or (0,)
-        lo, hi = min(degrees), max(degrees)
+        lo, hi, sign = min(degrees), max(degrees), 1
+    h = complex_.cohomology()
     chi = complex_.euler_from_dims()
     if chi != complex_.euler_from_cohomology():
         raise ExactHomError("euler characteristic mismatch between definitions")
-    table = {i: h.dim(i) for i in range(lo, hi + 1)}
+    table = {i: h.dim(sign * i) for i in range(lo, hi + 1)}
     text = " ".join(f"H{i}={d}" for i, d in table.items()) + f" chi={chi}"
     _emit(args, text, {"homology": {str(i): d for i, d in table.items()}, "euler": chi})
     return 0
 
 
 def cmd_classify(args) -> int:
-    verdict = classify_surface(_resolve_cell_input(args.source))
+    verdict = classify_surface(_resolve_homology_input(args.source, cells_only=True))
     _emit(
         args,
         f"genus={verdict.genus} euler={verdict.euler}",

@@ -43,11 +43,12 @@ class CohomologyResult:
 class CochainComplex:
     """Graded space with a degree +1 differential.
 
-    The differential is checked to square to zero on construction;
-    check=False skips that (used to exercise validate on bad data).
+    The differential is checked to square to zero once, on construction;
+    check=False defers that check to the first cohomology() call (used to
+    exercise validate on bad data).  Cohomology is computed once and cached.
     """
 
-    __slots__ = ("space", "differential")
+    __slots__ = ("space", "differential", "_checked", "_cohomology")
 
     def __init__(self, space: GradedVectorSpace, differential: GradedMap, check: bool = True):
         if differential.degree != 1:
@@ -60,6 +61,8 @@ class CochainComplex:
         self.differential = differential
         if check and not self.validate():
             raise InvalidComplexError("differential does not square to zero")
+        self._checked = check
+        self._cohomology = None
 
     @classmethod
     def zero_differential(cls, space: GradedVectorSpace) -> "CochainComplex":
@@ -70,15 +73,17 @@ class CochainComplex:
         return (self.differential @ self.differential).is_zero()
 
     def cohomology(self) -> CohomologyResult:
-        """dim H^n = dim C^n - rank d^n - rank d^{n-1}."""
-        if not self.validate():
-            raise InvalidComplexError("cannot take cohomology: d^2 != 0")
-        ranks = {i: self.differential.block(i).rank() for i in self.space.degrees()}
-        dims = {
-            n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
-            for n in self.space.degrees()
-        }
-        return CohomologyResult(dims)
+        """dim H^n = dim C^n - rank d^n - rank d^{n-1}; computed once, then cached."""
+        if self._cohomology is None:
+            if not self._checked and not self.validate():
+                raise InvalidComplexError("cannot take cohomology: d^2 != 0")
+            ranks = {i: self.differential.block(i).rank() for i in self.space.degrees()}
+            dims = {
+                n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
+                for n in self.space.degrees()
+            }
+            self._cohomology = CohomologyResult(dims)
+        return self._cohomology
 
     def euler_from_dims(self) -> int:
         """Alternating sum of the chain dimensions."""

@@ -203,7 +203,7 @@ def validate_representation(r: Representation) -> bool:
 def _require_valid_pair(v: Representation, w: Representation) -> None:
     if v.quiver != w.quiver:
         raise RepresentationError("representations live over different quivers")
-    for r in (v, w):
+    for r in (v,) if w is v else (v, w):
         bad = r.first_violation()
         if bad is not None:
             raise RepresentationError(f"invalid representation: constraint {bad}")

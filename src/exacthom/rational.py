@@ -18,6 +18,8 @@ Rational = Fraction
 
 Scalar = Union[Fraction, int, str]
 
+_ZERO = Fraction(0)
+
 
 def rat(value: Scalar) -> Fraction:
     """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction."""
@@ -46,6 +48,15 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         self._entries = data
+
+    @classmethod
+    def _of_fractions(cls, rows: int, cols: int, entries: Iterable[Fraction]) -> "RationalMatrix":
+        """Trusted constructor: rows * cols entries, every one already a Fraction."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._entries = tuple(entries)
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -128,19 +139,32 @@ class RationalMatrix:
         return self.scale(c)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Exact product; zero entries of either factor cost no arithmetic.
+
+        Each nonzero left entry (i, t) is multiplied only into the nonzero
+        entries of right row t: one multiply-add per pair of nonzero
+        factors, not rows * inner * cols of them.
+        """
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += ri[k] * other._entries[k * other.cols + j]
-                out.append(acc)
-        return RationalMatrix(self.rows, other.cols, out)
+        m, k, n = self.rows, self.cols, other.cols
+        out = [_ZERO] * (m * n)
+        if m and k and n:
+            right = other._entries
+            right_rows = [
+                [(j, y) for j, y in enumerate(right[t * n : (t + 1) * n]) if y]
+                for t in range(k)
+            ]
+            left = self._entries
+            for i in range(m):
+                base = i * n
+                for t, x in enumerate(left[i * k : (i + 1) * k]):
+                    if x:
+                        for j, y in right_rows[t]:
+                            out[base + j] += x * y
+        return RationalMatrix._of_fractions(m, n, out)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(

@@ -62,6 +62,31 @@ class TestHomology:
         assert code == 0
         assert out == "H0=2 chi=2\n"
 
+    def test_cell_file_builds_one_complex(self, capsys, tmp_path, monkeypatch):
+        import exacthom.cellular
+        import exacthom.cli
+
+        calls = []
+        build = exacthom.cellular.chain_complex_of
+
+        def counted(cc):
+            calls.append(cc)
+            return build(cc)
+
+        monkeypatch.setattr(exacthom.cli, "chain_complex_of", counted)
+        monkeypatch.setattr(exacthom.cellular, "chain_complex_of", counted)
+        path = write_json(
+            tmp_path,
+            {"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}], "incidence": []},
+        )
+        code, out, _ = run(capsys, "homology", path)
+        assert code == 0
+        assert out == "H0=1 H1=1 chi=0\n"
+        assert len(calls) == 1
+        code, out, _ = run(capsys, "classify", "builtin:torus")
+        assert code == 0
+        assert len(calls) == 2
+
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "homology", "builtin:mobius")
         assert code == 2
@@ -114,6 +139,21 @@ class TestClassify:
         code, _, err = run(capsys, "classify", path)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dims": {"0": 1, "1": 1}, "differential": {"0": [[1]]}},
+            {"generators": []},
+            [1, 2],
+        ],
+    )
+    def test_not_a_cell_complex(self, capsys, tmp_path, payload):
+        path = write_json(tmp_path, payload)
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_inconsistent_incidence(self, capsys, tmp_path):
         # d^2 != 0: the face hits the vertex through a single edge with

@@ -53,6 +53,45 @@ class TestValidate:
             c.cohomology()
 
 
+class TestCheckOnce:
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Counts graded compositions: the d^2 check is the only one here."""
+        calls = []
+        compose = GradedMap.__matmul__
+
+        def counted(f, g):
+            calls.append((f, g))
+            return compose(f, g)
+
+        monkeypatch.setattr(GradedMap, "__matmul__", counted)
+        return calls
+
+    def test_checked_complex_squares_once(self, products):
+        c = complex_from({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[0, 1]]})
+        first = c.cohomology()
+        assert c.cohomology() == first
+        assert c.euler_from_cohomology() == c.euler_from_dims()
+        assert len(products) == 1
+
+    def test_cohomology_is_cached(self):
+        c = surface_complex(2)
+        assert c.cohomology() is c.cohomology()
+
+    def test_unchecked_complex_is_checked_by_cohomology(self, products):
+        c = complex_from({0: 1, 1: 1}, {0: [[1]]}, check=False)
+        assert products == []
+        assert c.cohomology().dims == {}
+        c.cohomology()
+        assert len(products) == 1
+
+    def test_unchecked_invalid_refused_every_time(self):
+        c = complex_from({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, check=False)
+        for _ in range(2):
+            with pytest.raises(InvalidComplexError):
+                c.cohomology()
+
+
 class TestCohomology:
     def test_circle(self):
         c = complex_from({-1: 1, 0: 1})

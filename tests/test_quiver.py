@@ -184,6 +184,28 @@ class TestHomComplex:
         with pytest.raises(RepresentationError):
             hom_complex(bad, bad)
 
+    def test_each_distinct_representation_validated_once(self, monkeypatch):
+        checked = []
+        first_violation = Representation.first_violation
+
+        def counted(r):
+            checked.append(r)
+            return first_violation(r)
+
+        monkeypatch.setattr(Representation, "first_violation", counted)
+        v = sphere_rep({0: 1, 1: 1}, {1: [[1]]})
+        w = sphere_rep({0: 1}, {})
+        hom_complex(v, v)
+        assert checked == [v]
+        hom_complex(v, w)
+        assert checked == [v, v, w]
+
+    def test_invalid_second_representation_rejected(self):
+        good = torus_rep({0: 2}, {0: [[1, 0], [0, 1]]}, {0: [[1, 0], [0, 1]]})
+        bad = torus_rep({0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]})
+        with pytest.raises(RepresentationError):
+            hom_complex(good, bad)
+
     def test_differential_against_hand_assembly(self):
         """Oracle: assemble every block of the differential by hand for the
         two-degree representation with f the identity V^1 -> V^0.

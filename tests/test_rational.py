@@ -84,6 +84,57 @@ class TestMultiply:
             assert (a @ b).rank() <= min(a.rank(), b.rank())
 
 
+def dense_product(a, b):
+    """Reference product: the plain triple loop over every entry."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = Fraction(0)
+            for k in range(a.cols):
+                acc += a[i, k] * b[k, j]
+            out.append(acc)
+    return RationalMatrix(a.rows, b.cols, out)
+
+
+def random_matrix(rng, rows, cols, fill):
+    """Entries nonzero with probability fill; ints and "p/q" strings."""
+    pool = [-2, -1, 1, 3, "1/2", "-2/3", "5/7"]
+    return RationalMatrix(
+        rows, cols, [rng.choice(pool) if rng.random() < fill else 0 for _ in range(rows * cols)]
+    )
+
+
+def product_cases(seed, count=300):
+    """Seeded (a, b) pairs: empty and 1x1 shapes, sparse and dense fill."""
+    rng = random.Random(seed)
+    fixed = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (1, 0, 1)]
+    for m, k, n in fixed:
+        for fill in (0.0, 0.5, 1.0):
+            yield random_matrix(rng, m, k, fill), random_matrix(rng, k, n, fill)
+    for _ in range(count):
+        m, k, n = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        fill = rng.choice((0.05, 0.2, 0.5, 1.0))
+        yield random_matrix(rng, m, k, fill), random_matrix(rng, k, n, fill)
+
+
+class TestProductOracle:
+    def test_matches_dense_reference(self):
+        for a, b in product_cases(seed=31):
+            p = a @ b
+            assert p == dense_product(a, b)
+            assert (p.rows, p.cols) == (a.rows, b.cols)
+            assert all(type(x) is Fraction for x in p.entries())
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for a, b in product_cases(seed=32, count=100):
+            expected = sympy.Matrix(a.rows, a.cols, list(a.entries())) * sympy.Matrix(
+                b.rows, b.cols, list(b.entries())
+            )
+            got = a @ b
+            assert [Fraction(int(x.p), int(x.q)) for x in expected] == list(got.entries())
+
+
 class TestTranspose:
     def test_involution(self):
         m = rows([1, 2], [3, 4])
