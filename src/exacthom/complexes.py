@@ -73,11 +73,14 @@ class CochainComplex:
         return (self.differential @ self.differential).is_zero()
 
     def cohomology(self) -> CohomologyResult:
-        """dim H^n = dim C^n - rank d^n - rank d^{n-1}; computed once, then cached."""
+        """dim H^n = dim C^n - rank d^n - rank d^{n-1}; computed once, then cached.
+
+        Only stored blocks are ranked: a missing block is zero, of rank 0.
+        """
         if self._cohomology is None:
             if not self._checked and not self.validate():
                 raise InvalidComplexError("cannot take cohomology: d^2 != 0")
-            ranks = {i: self.differential.block(i).rank() for i in self.space.degrees()}
+            ranks = {i: b.rank() for i, b in self.differential.blocks().items()}
             dims = {
                 n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
                 for n in self.space.degrees()

@@ -153,14 +153,19 @@ class GradedMap:
         return all(b.is_zero() for b in self._blocks.values())
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
-        """Composition self after other."""
+        """Composition self after other.
+
+        Only degrees where both factors store a block are multiplied; every
+        other block of the composite is zero, and the constructor fills it.
+        """
         if other.target != self.source:
             raise ShapeError("composition needs matching middle space")
         d = self.degree + other.degree
-        out = {
-            i: self.block(i + other.degree) @ other.block(i)
-            for i in other.source.degrees()
-        }
+        out = {}
+        for i, b in other._blocks.items():
+            a = self._blocks.get(i + other.degree)
+            if a is not None:
+                out[i] = a @ b
         return GradedMap(other.source, self.target, d, out)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":

@@ -3,13 +3,17 @@
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, exact arithmetic).  Matrices are immutable, dense, row-major,
 and support the rank/kernel computations every homology calculation in
-this package reduces to.  Zero-by-n and n-by-zero matrices are first-class
-values: they represent zero maps in and out of the zero space.
+this package reduces to.  Rank clears each row's denominators and runs
+fraction-free (Bareiss) elimination on Python ints; the Fraction reduced
+row echelon form is kept for the kernel basis.  Zero-by-n and n-by-zero
+matrices are first-class values: they represent zero maps in and out of
+the zero space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -60,7 +64,9 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ShapeError("matrix dimensions must be nonnegative")
+        return cls._of_fractions(rows, cols, [_ZERO] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -201,8 +207,44 @@ class RationalMatrix:
         return m, pivots
 
     def rank(self) -> int:
-        """Dimension of the column space."""
-        return len(self._rref()[1])
+        """Dimension of the column space, by fraction-free elimination.
+
+        Each row is scaled by the lcm of its denominators, which keeps the
+        rank, and zero rows are dropped.  Bareiss elimination then runs on
+        the integer rows: each pivot p with previous pivot prev turns every
+        remaining row into (p*x - a*y) // prev, a division that is always
+        exact.  Remaining rows are zero up to the pivot column, so only the
+        columns after it are kept; columns with no pivot are skipped, and rows
+        that become zero are dropped.
+        """
+        rows: list[list[int]] = []
+        for i in range(self.rows):
+            row = self.row(i)
+            if any(row):
+                scale = lcm(*(x.denominator for x in row))
+                rows.append([x.numerator * (scale // x.denominator) for x in row])
+        rank = 0
+        prev = 1
+        c = 0
+        while rows and c < len(rows[0]):
+            k = next((j for j, r in enumerate(rows) if r[c]), None)
+            if k is None:
+                c += 1
+                continue
+            pivot_row = rows.pop(k)
+            p = pivot_row[c]
+            tail = pivot_row[c + 1 :]
+            reduced = []
+            for r in rows:
+                a = r[c]
+                new = [(p * x - a * y) // prev for x, y in zip(r[c + 1 :], tail)]
+                if any(new):
+                    reduced.append(new)
+            rows = reduced
+            prev = p
+            rank += 1
+            c = 0
+        return rank
 
     def kernel_basis(self) -> "RationalMatrix":
         """Matrix whose columns form a basis of the null space.

@@ -174,6 +174,38 @@ class TestGradedMap:
             f, g, h = rand_map(0), rand_map(-1), rand_map(1)
             assert (f @ g) @ h == f @ (g @ h)
 
+    def test_compose_matches_blockwise_reference(self):
+        """Composition that skips empty products equals block(i + d) @ block(i) everywhere.
+
+        The spaces leave gaps between their degrees, so many products have
+        a zero-dimensional middle, source or target.
+        """
+        rng = random.Random(17)
+
+        def gappy_space():
+            return GradedVectorSpace(
+                {d: rng.choice((0, 0, 1, 2, 3)) for d in range(-3, 4)}
+            )
+
+        def rand_map(src, tgt, d):
+            blocks = {}
+            for i in src.degrees():
+                r, c = tgt.dim(i + d), src.dim(i)
+                if r:
+                    blocks[i] = RationalMatrix(
+                        r, c, [rng.choice((0, 0, 1, -2, "1/3")) for _ in range(r * c)]
+                    )
+            return GradedMap(src, tgt, d, blocks)
+
+        for _ in range(60):
+            u, v, w = gappy_space(), gappy_space(), gappy_space()
+            f = rand_map(u, v, rng.randint(-2, 2))
+            g = rand_map(v, w, rng.randint(-2, 2))
+            gf = g @ f
+            assert (gf.source, gf.target, gf.degree) == (u, w, f.degree + g.degree)
+            for i in range(-6, 7):
+                assert gf.block(i) == g.block(i + f.degree) @ f.block(i)
+
     def test_scale_and_add(self):
         v = GradedVectorSpace({0: 2})
         f = _map(v, v, 0, {0: [[1, 2], [3, 4]]})

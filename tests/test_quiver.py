@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from exacthom.quiver import (
     validate_representation,
     zero_section_representation,
 )
-from exacthom.rational import RationalMatrix
+from exacthom.rational import RationalMatrix, block_diag
 
 
 def _rank(rows):
@@ -256,6 +257,38 @@ class TestFloer:
         for m, s in [(1, 0), (2, 0), (3, -2), (2, 3)]:
             rep = sphere_rep({s: m}, {})
             assert floer_cohomology(rep, rep).dims == {0: m * m, 2: m * m}
+
+    def test_direct_sum_additivity(self):
+        """Metamorphic: HF(v+v', w) = HF(v, w) + HF(v', w) in every degree."""
+        rng = random.Random(23)
+
+        def random_sphere_rep():
+            space = GradedVectorSpace({d: rng.randint(0, 2) for d in range(-1, 3)})
+            blocks = {}
+            for i in space.degrees():
+                r, c = space.dim(i - 1), space.dim(i)
+                if r:
+                    blocks[i] = RationalMatrix(
+                        r, c, [rng.choice((0, 1, -2, "1/2", "-3/4")) for _ in range(r * c)]
+                    )
+            return Representation(
+                sphere_quiver(), space, {"z": GradedMap(space, space, -1, blocks)}
+            )
+
+        def direct_sum(a, b):
+            space = a.space.direct_sum(b.space)
+            za, zb = a.map_of("z"), b.map_of("z")
+            z = GradedMap(
+                space, space, -1, {i: block_diag(za.block(i), zb.block(i)) for i in space.degrees()}
+            )
+            return Representation(sphere_quiver(), space, {"z": z})
+
+        for _ in range(12):
+            v, v2, w = random_sphere_rep(), random_sphere_rep(), random_sphere_rep()
+            total = floer_cohomology(direct_sum(v, v2), w)
+            hv, hv2 = floer_cohomology(v, w), floer_cohomology(v2, w)
+            for n in set(total.dims) | set(hv.dims) | set(hv2.dims):
+                assert total.dim(n) == hv.dim(n) + hv2.dim(n)
 
     def test_torus_unsupported(self):
         tt = torus_trivial_representation()

@@ -135,6 +135,86 @@ class TestProductOracle:
             assert [Fraction(int(x.p), int(x.q)) for x in expected] == list(got.entries())
 
 
+def rank_cases(seed, count=200):
+    """Seeded matrices for the rank oracle.
+
+    Empty and 1x1 shapes, then random shapes with sparse and dense fill:
+    up to 42x42 with small entries and "p/q" entries, and up to 10x10 with
+    numerators and denominators around 10**30.  Some cases get zero rows,
+    zero columns or repeated columns, or are products through an inner
+    dimension of at most min(rows, cols), so that elimination meets rows
+    that vanish and columns that hold no pivot, and rows that depend on
+    others only through "p/q" coefficients.
+    """
+    rng = random.Random(seed)
+    big = 10**30
+    small = [-2, -1, 1, 3, "1/2", "-2/3", "5/7"]
+    huge = [big + 1, -big, big - 7, f"{big + 3}/7", f"-{big}/{big + 1}", 1]
+    for r, c in [(0, 0), (0, 5), (5, 0), (1, 1)]:
+        for fill in (0.0, 1.0):
+            yield random_matrix(rng, r, c, fill)
+    yield random_matrix(rng, 42, 42, 0.2)
+    yield random_matrix(rng, 42, 30, 0.5) @ random_matrix(rng, 30, 42, 0.5)
+    for _ in range(count):
+        shape = rng.random()
+        if shape < 0.05:
+            r, c, pool = rng.randint(20, 42), rng.randint(20, 42), small
+        elif shape < 0.4:
+            r, c, pool = rng.randint(1, 10), rng.randint(1, 10), huge
+        else:
+            r, c, pool = rng.randint(1, 9), rng.randint(1, 9), small
+        fill = rng.choice((0.05, 0.2, 0.5, 1.0))
+        grid = [[rng.choice(pool) if rng.random() < fill else 0 for _ in range(c)] for _ in range(r)]
+        kind = rng.choice(("plain", "zero_row", "zero_col", "repeat_col", "low_rank"))
+        if kind == "zero_row":
+            grid[rng.randrange(r)] = [0] * c
+        elif kind == "zero_col":
+            j = rng.randrange(c)
+            for row in grid:
+                row[j] = 0
+        elif kind == "repeat_col" and c > 1:
+            src, dst = rng.sample(range(c), 2)
+            for row in grid:
+                row[dst] = row[src]
+        m = RationalMatrix.from_rows(grid)
+        if kind == "low_rank":
+            k = rng.randint(1, min(r, c))
+            mix = RationalMatrix(r, k, [rng.choice(pool) for _ in range(r * k)])
+            m = mix @ RationalMatrix.from_rows(grid[:k])
+        yield m
+
+
+class TestRankOracle:
+    def test_matches_rref(self):
+        for m in rank_cases(seed=41):
+            assert m.rank() == len(m._rref()[1])
+
+    def test_matches_sympy(self):
+        """sympy.Matrix.rank up to 10x10; above that, sympy's exact domain rank.
+
+        Matrix.rank does not finish within a minute on some rank-deficient 24x42
+        rational matrices, so the large cases go through to_DM().
+        """
+        sympy = pytest.importorskip("sympy")
+        for m in rank_cases(seed=42, count=60):
+            s = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries()])
+            expected = s.rank() if max(m.rows, m.cols) <= 10 else s.to_DM().rank()
+            assert m.rank() == expected
+
+    def test_row_scaling_keeps_rank(self):
+        """Metamorphic: scaling each row by a nonzero p/q leaves rank unchanged."""
+        rng = random.Random(43)
+        for m in rank_cases(seed=44, count=80):
+            factors = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+                for _ in range(m.rows)
+            ]
+            scaled = RationalMatrix(
+                m.rows, m.cols, [factors[i] * x for i in range(m.rows) for x in m.row(i)]
+            )
+            assert scaled.rank() == m.rank()
+
+
 class TestTranspose:
     def test_involution(self):
         m = rows([1, 2], [3, 4])
@@ -199,6 +279,16 @@ def test_block_diag_degenerate():
     d = block_diag(a, b)
     assert (d.rows, d.cols) == (1, 3)
     assert d[0, 2] == 5
+
+
+def test_zero_matrix():
+    z = RationalMatrix.zero(2, 3)
+    assert (z.rows, z.cols) == (2, 3) and z.is_zero()
+    assert z == RationalMatrix(2, 3, [0] * 6)
+    assert all(type(x) is Fraction for x in z.entries())
+    for shape in [(-1, 2), (2, -1)]:
+        with pytest.raises(ShapeError):
+            RationalMatrix.zero(*shape)
 
 
 def test_bad_entry_count():
