@@ -9,19 +9,13 @@ from .rational import Rational, RationalMatrix, block_diag
 from .graded import (
     GradedMap,
     GradedVectorSpace,
-    compose,
-    direct_sum_space,
     dual_space,
     hom_space,
-    scale_and_add,
-    shift_space,
 )
 from .complexes import (
     CochainComplex,
     CohomologyResult,
-    direct_sum_complex,
     random_complex,
-    shift_complex,
 )
 from .cellular import (
     Cell,
@@ -45,7 +39,6 @@ from .quiver import (
     sphere_quiver,
     torus_quiver,
     torus_trivial_representation,
-    validate_representation,
     zero_section_representation,
 )
 from .classify import (
@@ -78,16 +71,10 @@ __all__ = [
     "block_diag",
     "GradedVectorSpace",
     "GradedMap",
-    "shift_space",
-    "direct_sum_space",
     "dual_space",
     "hom_space",
-    "compose",
-    "scale_and_add",
     "CochainComplex",
     "CohomologyResult",
-    "shift_complex",
-    "direct_sum_complex",
     "random_complex",
     "Cell",
     "CellComplex",
@@ -104,7 +91,6 @@ __all__ = [
     "HomComplexResult",
     "sphere_quiver",
     "torus_quiver",
-    "validate_representation",
     "hom_complex",
     "floer_cohomology",
     "euler_of_hom",

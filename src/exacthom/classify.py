@@ -1,11 +1,12 @@
 """Finite verification of the surface-classification statements.
 
 Three checks run over sampled (and, where stated, exhaustively enumerated)
-representations: the support-gap lemma for sphere-quiver representations
-spread over several degrees, the sphere dichotomy (cohomology supported in
-[0,2] happens only for one-degree spaces and then takes the sphere's
-values), and the torus Euler-characteristic cancellation.  Violations are
-collected into reports, never thrown: the reports are the output.
+representations.  The sphere and concentrated checks compare HF(V, V) of
+sphere-quiver representations with its exact closed form and with
+2-Calabi–Yau duality; the concentrated one takes only the samples spread
+over several degrees.  The torus check is the Euler-characteristic
+cancellation.  Violations are collected into reports, never thrown: the
+reports are the output.
 
 Sampling is deterministic per (seed, index), so parallel and serial runs
 of the same configuration produce identical reports.
@@ -18,10 +19,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
-from .cellular import genus_from_euler
-from .errors import ClassificationError, FormatError, RepresentationError
+from .errors import FormatError, RepresentationError
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import (
     QuiverPresentation,
@@ -34,6 +34,11 @@ from .quiver import (
 from .rational import RationalMatrix
 
 _MASK64 = (1 << 64) - 1
+
+# Samples lie in degrees -3..3 and draw their entries from this pool.
+_DEGREE_BAND = (-3, 3)
+_SCALAR_POOL = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2))
+_NONZERO_POOL = tuple(x for x in _SCALAR_POOL if x)
 
 
 def _mix(seed: int, index: int) -> int:
@@ -49,22 +54,12 @@ class SampleConfig:
     seed: int = 0
     count: int = 100
     max_total_dim: int = 3
-    degree_band: Tuple[int, int] = (-3, 3)
-    scalar_pool: Tuple[Fraction, ...] = (-2, -1, 0, 1, 2)
 
     def __post_init__(self):
         if self.count < 1:
             raise FormatError("count must be at least 1")
         if self.max_total_dim < 1:
             raise FormatError("max_total_dim must be at least 1")
-        lo, hi = self.degree_band
-        if lo > hi:
-            raise FormatError("degree_band must be a nonempty interval")
-        object.__setattr__(self, "degree_band", (int(lo), int(hi)))
-        pool = tuple(Fraction(x) for x in self.scalar_pool)
-        if not pool:
-            raise FormatError("scalar_pool must be nonempty")
-        object.__setattr__(self, "scalar_pool", pool)
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def _rng_for(cfg: SampleConfig, index: int) -> random.Random:
 
 def _sample_space(rng: random.Random, cfg: SampleConfig) -> GradedVectorSpace:
     total = rng.randint(1, cfg.max_total_dim)
-    lo, hi = cfg.degree_band
+    lo, hi = _DEGREE_BAND
     dims: Dict[int, int] = {}
     for _ in range(total):
         d = rng.randint(lo, hi)
@@ -110,30 +105,26 @@ def _sample_space(rng: random.Random, cfg: SampleConfig) -> GradedVectorSpace:
     return GradedVectorSpace(dims)
 
 
-def _sample_matrix(
-    rng: random.Random, rows: int, cols: int, pool: Sequence[Fraction]
-) -> RationalMatrix:
-    return RationalMatrix(rows, cols, [rng.choice(pool) for _ in range(rows * cols)])
+def _sample_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix(rows, cols, [rng.choice(_SCALAR_POOL) for _ in range(rows * cols)])
 
 
-def _sample_invertible(
-    rng: random.Random, n: int, pool: Sequence[Fraction]
-) -> RationalMatrix:
+def _sample_invertible(rng: random.Random, n: int) -> RationalMatrix:
     for _ in range(64):
-        m = _sample_matrix(rng, n, n, pool)
+        m = _sample_matrix(rng, n, n)
         if m.is_invertible():
             return m
     return RationalMatrix.identity(n)
 
 
 def _sample_degree_map(
-    rng: random.Random, space: GradedVectorSpace, degree: int, pool: Sequence[Fraction]
+    rng: random.Random, space: GradedVectorSpace, degree: int
 ) -> GradedMap:
     blocks = {}
     for i in space.degrees():
         rows = space.dim(i + degree)
         if rows:
-            blocks[i] = _sample_matrix(rng, rows, space.dim(i), pool)
+            blocks[i] = _sample_matrix(rng, rows, space.dim(i))
     return GradedMap(space, space, degree, blocks)
 
 
@@ -150,27 +141,25 @@ def sample_representation_at(
     if quiver == sphere_quiver():
         rng = _rng_for(cfg, index)
         space = _sample_space(rng, cfg)
-        f = _sample_degree_map(rng, space, -1, cfg.scalar_pool)
+        f = _sample_degree_map(rng, space, -1)
         return Representation(quiver, space, {"z": f})
     if quiver == torus_quiver():
         rng = _rng_for(cfg, index)
         space = _sample_space(rng, cfg)
-        pool = cfg.scalar_pool
-        nonzero = [x for x in pool if x != 0] or [Fraction(1)]
         alpha_blocks: Dict[int, RationalMatrix] = {}
         beta_blocks: Dict[int, RationalMatrix] = {}
         diagonal_family = index % 3 == 2
         for i in space.degrees():
             d = space.dim(i)
             if diagonal_family:
-                a = _diagonal(rng, d, nonzero)
-                b = _diagonal(rng, d, nonzero)
+                a = _diagonal(rng, d)
+                b = _diagonal(rng, d)
             else:
-                a = _sample_invertible(rng, d, pool)
+                a = _sample_invertible(rng, d)
                 b = None
                 ident = RationalMatrix.identity(d)
                 for _ in range(64):
-                    c0, c1, c2 = (rng.choice(pool) for _ in range(3))
+                    c0, c1, c2 = (rng.choice(_SCALAR_POOL) for _ in range(3))
                     cand = ident.scale(c0) + a.scale(c1) + (a @ a).scale(c2)
                     if cand.is_invertible():
                         b = cand
@@ -179,7 +168,7 @@ def sample_representation_at(
                     b = a
             alpha_blocks[i] = a
             beta_blocks[i] = b
-        gamma = _sample_degree_map(rng, space, -1, pool)
+        gamma = _sample_degree_map(rng, space, -1)
         return Representation(
             quiver,
             space,
@@ -194,9 +183,9 @@ def sample_representation_at(
     )
 
 
-def _diagonal(rng: random.Random, n: int, nonzero: Sequence[Fraction]) -> RationalMatrix:
+def _diagonal(rng: random.Random, n: int) -> RationalMatrix:
     entries = [
-        rng.choice(nonzero) if i == j else 0 for i in range(n) for j in range(n)
+        rng.choice(_NONZERO_POOL) if i == j else 0 for i in range(n) for j in range(n)
     ]
     return RationalMatrix(n, n, entries)
 
@@ -252,15 +241,12 @@ def _degree_map_slots(
     ]
 
 
-def enumerate_sphere_representations(
-    max_total_dim: int = 2,
-    degree_band: Tuple[int, int] = (-2, 2),
-    scalar_pool: Sequence[Fraction] = (-1, 0, 1),
-) -> Iterator[Representation]:
-    """Every sphere-quiver representation over the given finite ranges."""
-    pool = tuple(Fraction(x) for x in scalar_pool)
+def enumerate_sphere_representations() -> Iterator[Representation]:
+    """Every sphere-quiver representation of total dimension 1..2 in
+    degrees -2..2 with z-entries in {-1, 0, 1}: 28 of them."""
+    pool = tuple(Fraction(x) for x in (-1, 0, 1))
     quiver = sphere_quiver()
-    for space in enumerate_spaces(max_total_dim, degree_band):
+    for space in enumerate_spaces(2, (-2, 2)):
         slots = _degree_map_slots(space, -1)
         for choice in itertools.product(
             *[enumerate_matrices(r, c, pool) for _, r, c in slots]
@@ -271,15 +257,12 @@ def enumerate_sphere_representations(
             )
 
 
-def enumerate_torus_representations(
-    max_total_dim: int = 2,
-    degree_band: Tuple[int, int] = (-1, 1),
-    scalar_pool: Sequence[Fraction] = (-1, 1, 2),
-) -> Iterator[Representation]:
-    """Every valid torus-quiver representation over the given finite ranges."""
-    pool = tuple(Fraction(x) for x in scalar_pool)
+def enumerate_torus_representations() -> Iterator[Representation]:
+    """Every valid torus-quiver representation of total dimension 1..2 in
+    degrees -1..1 with entries in {-1, 1, 2}."""
+    pool = tuple(Fraction(x) for x in (-1, 1, 2))
     quiver = torus_quiver()
-    for space in enumerate_spaces(max_total_dim, degree_band):
+    for space in enumerate_spaces(2, (-1, 1)):
         degrees = space.degrees()
         pair_families = [commuting_invertible_pairs(space.dim(i), pool) for i in degrees]
         gamma_slots = _degree_map_slots(space, -1)
@@ -304,14 +287,84 @@ def enumerate_torus_representations(
 # ---------------------------------------------------------------------------
 # theorem checks
 
-def _spread(space: GradedVectorSpace) -> int:
-    degs = space.degrees()
-    return max(degs) - min(degs)
+def _self_pair_violations(rep: Representation, label: str) -> List[Dict[str, object]]:
+    """How HF(V, V) of a sphere-quiver representation breaks its exact form.
+
+    Let V lie in degrees lo..hi, with spread k = hi - lo.  Dimensions alone
+    force the closed form.  For k = 0, z = 0 and HF = {0: m², 2: m²} with
+    m = dim V.  For k >= 1, the two ends of the morphism complex are
+    cocycles that nothing hits, so HF^{-k} = HF^{k+2} = dim V^lo · dim V^hi,
+    and the support lies in [-k, k+2].  Only duality, HF^d = HF^{2-d}
+    (k[z] with |z| = -1 is 2-Calabi–Yau), depends on the differential.
+    """
+    hf = floer_cohomology(rep, rep)
+    space = rep.space
+    lo, hi = min(space.degrees()), max(space.degrees())
+    k, ends = hi - lo, space.dim(lo) * space.dim(hi)
+    out: List[Dict[str, object]] = []
+
+    def flag(detail: str) -> None:
+        out.append(_violation(label, space, detail))
+
+    if k == 0:
+        if hf.dims != {0: ends, 2: ends}:
+            flag(f"cohomology {hf.dims} != {{0: {ends}, 2: {ends}}}")
+    else:
+        if hf.dim(-k) != ends or hf.dim(k + 2) != ends:
+            flag(
+                f"HF^{-k} = {hf.dim(-k)} and HF^{k + 2} = {hf.dim(k + 2)}, "
+                f"not dim V^lo * dim V^hi = {ends}"
+            )
+        if any(not -k <= d <= k + 2 for d in hf.dims):
+            flag(f"support {hf.support()} leaves [{-k}, {k + 2}]")
+    broken = sorted({min(d, 2 - d) for d, n in hf.dims.items() if hf.dims.get(2 - d, 0) != n})
+    if broken:
+        flag(f"duality HF^d = HF^(2-d) fails at d in {broken}: cohomology {hf.dims}")
+    return out
+
+
+def _torus_violations(rep: Representation, label: str) -> List[Dict[str, object]]:
+    chi = euler_of_hom(rep, rep)
+    return [_violation(label, rep.space, f"euler characteristic {chi} != 0")] if chi else []
+
+
+def _sweep(
+    theorem: str,
+    quiver: QuiverPresentation,
+    exhaustive: Iterable[Representation],
+    cfg: SampleConfig,
+    examine: Callable[[Representation, str], List[Dict[str, object]]],
+) -> TheoremReport:
+    """examine every exhaustive representation, then cfg.count samples."""
+    violations: List[Dict[str, object]] = []
+    checked = 0
+    for j, rep in enumerate(exhaustive):
+        violations.extend(examine(rep, f"exhaustive:{j}"))
+        checked += 1
+    for index in range(cfg.count):
+        rep = sample_representation_at(quiver, cfg, index)
+        violations.extend(examine(rep, f"sample:{index}"))
+        checked += 1
+    return TheoremReport(theorem, checked, tuple(violations))
+
+
+def check_sphere_theorem(cfg: SampleConfig) -> TheoremReport:
+    """Dichotomy sweep: exhaustive small cases plus cfg.count random samples.
+
+    HF(V, V) must have the exact form of _self_pair_violations: supported in
+    [0, 2] with the sphere's values (squared) for a one-degree space, and
+    reaching -k and k+2 for a space of spread k >= 1.
+    """
+    return _sweep(
+        "sphere", sphere_quiver(), enumerate_sphere_representations(), cfg,
+        _self_pair_violations,
+    )
 
 
 def check_concentrated_lemma(cfg: SampleConfig) -> TheoremReport:
     """Spread-k spaces have cohomology at degrees -k and k+2: gap 2k+2 >= 4.
 
+    Each checked sample must meet the exact form of _self_pair_violations.
     Draws cfg.count sphere-quiver samples; those concentrated in a single
     degree are outside the hypothesis and are skipped, so samples_checked
     counts only the spread >= 1 ones.
@@ -320,153 +373,24 @@ def check_concentrated_lemma(cfg: SampleConfig) -> TheoremReport:
     checked = 0
     for index in range(cfg.count):
         rep = sample_representation_at(sphere_quiver(), cfg, index)
-        k = _spread(rep.space)
-        if k < 1:
+        if len(rep.space.degrees()) == 1:
             continue
         checked += 1
-        hf = floer_cohomology(rep, rep)
-        label = f"sample:{index}"
-        if hf.dim(-k) == 0:
-            violations.append(
-                _violation(label, rep.space, f"cohomology vanishes at degree {-k}")
-            )
-        if hf.dim(k + 2) == 0:
-            violations.append(
-                _violation(label, rep.space, f"cohomology vanishes at degree {k + 2}")
-            )
-        support = hf.support()
-        if support and max(support) - min(support) < 4:
-            violations.append(
-                _violation(label, rep.space, f"support width {max(support) - min(support)} < 4")
-            )
+        violations.extend(_self_pair_violations(rep, f"sample:{index}"))
     return TheoremReport("concentrated", checked, tuple(violations))
 
 
-def _sphere_violations(
-    rep: Representation, label: str
-) -> List[Dict[str, object]]:
-    hf = floer_cohomology(rep, rep)
-    space = rep.space
-    k = _spread(space)
-    m = space.total_dim()
-    support = hf.support()
-    out: List[Dict[str, object]] = []
-    if not support:
-        out.append(_violation(label, space, "cohomology vanished entirely"))
-        return out
-    if min(support) >= 0 and max(support) <= 2:
-        if k != 0:
-            out.append(
-                _violation(
-                    label, space, f"support {support} inside [0,2] but degree spread {k} >= 1"
-                )
-            )
-        expected = {0: m * m, 2: m * m}
-        if hf.dims != expected:
-            out.append(
-                _violation(
-                    label,
-                    space,
-                    f"concentrated case: cohomology {hf.dims} != {expected}",
-                )
-            )
-        if hf.dim(0) == 1 and hf.dims != {0: 1, 2: 1}:
-            out.append(
-                _violation(
-                    label,
-                    space,
-                    f"rank-one endomorphisms but cohomology {hf.dims} differs from the sphere's",
-                )
-            )
-    else:
-        if k == 0:
-            out.append(
-                _violation(label, space, f"one-degree space with support {support} leaving [0,2]")
-            )
-        elif min(support) != -k or max(support) != k + 2:
-            out.append(
-                _violation(
-                    label,
-                    space,
-                    f"support {support} does not span [{-k}, {k + 2}] for spread {k}",
-                )
-            )
-    return out
-
-
-def check_sphere_theorem(
-    cfg: SampleConfig,
-    exhaustive_max_total_dim: int = 2,
-    exhaustive_degree_band: Tuple[int, int] = (-2, 2),
-    exhaustive_scalar_pool: Sequence[Fraction] = (-1, 0, 1),
-) -> TheoremReport:
-    """Dichotomy sweep: exhaustive small cases plus cfg.count random samples.
-
-    Each representation must either have cohomology supported in [0,2]
-    (then: one-degree space, squares in degrees 0 and 2, and rank one
-    forces the sphere values) or have support reaching beyond [0,2] in the
-    pattern the support-gap lemma dictates.
-    """
-    violations: List[Dict[str, object]] = []
-    checked = 0
-    for j, rep in enumerate(
-        enumerate_sphere_representations(
-            exhaustive_max_total_dim, exhaustive_degree_band, exhaustive_scalar_pool
-        )
-    ):
-        violations.extend(_sphere_violations(rep, f"exhaustive:{j}"))
-        checked += 1
-    for index in range(cfg.count):
-        rep = sample_representation_at(sphere_quiver(), cfg, index)
-        violations.extend(_sphere_violations(rep, f"sample:{index}"))
-        checked += 1
-    return TheoremReport("sphere", checked, tuple(violations))
-
-
-def check_torus_theorem(
-    cfg: SampleConfig,
-    exhaustive_max_total_dim: int = 2,
-    exhaustive_degree_band: Tuple[int, int] = (-1, 1),
-    exhaustive_scalar_pool: Sequence[Fraction] = (-1, 1, 2),
-) -> TheoremReport:
+def check_torus_theorem(cfg: SampleConfig) -> TheoremReport:
     """Euler characteristic of end(r) vanishes for every valid torus rep.
 
     Exhaustive over small total dimension plus cfg.count random
     commuting-pair samples; each must give chi = 0, the characteristic of
     a genus-1 surface.
     """
-    violations: List[Dict[str, object]] = []
-    checked = 0
-
-    def examine(rep: Representation, label: str) -> None:
-        chi = euler_of_hom(rep, rep)
-        if chi != 0:
-            violations.append(
-                _violation(label, rep.space, f"euler characteristic {chi} != 0")
-            )
-            return
-        try:
-            genus = genus_from_euler(chi)
-        except ClassificationError as exc:
-            violations.append(_violation(label, rep.space, str(exc)))
-            return
-        if genus != 1:
-            violations.append(
-                _violation(label, rep.space, f"genus {genus} != 1 at chi = {chi}")
-            )
-
-    for j, rep in enumerate(
-        enumerate_torus_representations(
-            exhaustive_max_total_dim, exhaustive_degree_band, exhaustive_scalar_pool
-        )
-    ):
-        examine(rep, f"exhaustive:{j}")
-        checked += 1
-    for index in range(cfg.count):
-        rep = sample_representation_at(torus_quiver(), cfg, index)
-        examine(rep, f"sample:{index}")
-        checked += 1
-    return TheoremReport("torus", checked, tuple(violations))
+    return _sweep(
+        "torus", torus_quiver(), enumerate_torus_representations(), cfg,
+        _torus_violations,
+    )
 
 
 _CHECKS = {

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import InvalidComplexError
 from .graded import GradedMap, GradedVectorSpace
 from .rational import RationalMatrix, block_diag
+
+# Entries of the random complexes' coefficient matrices.
+_ENTRY_POOL = (-2, -1, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,13 @@ class CohomologyResult:
 class CochainComplex:
     """Graded space with a degree +1 differential.
 
-    The differential is checked to square to zero once, on construction;
-    check=False defers that check to the first cohomology() call (used to
-    exercise validate on bad data).  Cohomology is computed once and cached.
+    The differential is checked to square to zero once, on construction.
+    Cohomology is computed once and cached.
     """
 
-    __slots__ = ("space", "differential", "_checked", "_cohomology")
+    __slots__ = ("space", "differential", "_cohomology")
 
-    def __init__(self, space: GradedVectorSpace, differential: GradedMap, check: bool = True):
+    def __init__(self, space: GradedVectorSpace, differential: GradedMap):
         if differential.degree != 1:
             raise InvalidComplexError(
                 f"differential must have degree +1, got {differential.degree}"
@@ -59,9 +61,8 @@ class CochainComplex:
             raise InvalidComplexError("differential must be an endomorphism of the space")
         self.space = space
         self.differential = differential
-        if check and not self.validate():
+        if not self.validate():
             raise InvalidComplexError("differential does not square to zero")
-        self._checked = check
         self._cohomology = None
 
     @classmethod
@@ -78,8 +79,6 @@ class CochainComplex:
         Only stored blocks are ranked: a missing block is zero, of rank 0.
         """
         if self._cohomology is None:
-            if not self._checked and not self.validate():
-                raise InvalidComplexError("cannot take cohomology: d^2 != 0")
             ranks = {i: b.rank() for i, b in self.differential.blocks().items()}
             dims = {
                 n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
@@ -119,17 +118,7 @@ class CochainComplex:
         return f"CochainComplex(dims={self.space.dims})"
 
 
-def shift_complex(c: CochainComplex, s: int) -> CochainComplex:
-    return c.shift(s)
-
-
-def direct_sum_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
-    return a.direct_sum(b)
-
-
-def random_complex(
-    dims: Mapping[int, int], seed: int, entry_pool: Sequence[int] = (-2, -1, 0, 1, 2)
-) -> CochainComplex:
+def random_complex(dims: Mapping[int, int], seed: int) -> CochainComplex:
     """Seeded random complex on the given dimensions, valid by construction.
 
     Blocks are sampled in ascending degree.  Each block B must kill the
@@ -138,7 +127,6 @@ def random_complex(
     """
     space = GradedVectorSpace(dims)
     rng = random.Random(seed)
-    pool = list(entry_pool)
     blocks: Dict[int, RationalMatrix] = {}
     if space.is_zero():
         return CochainComplex.zero_differential(space)
@@ -148,7 +136,7 @@ def random_complex(
         rows, cols = space.dim(i + 1), space.dim(i)
         basis = prev.transpose().kernel_basis()
         coeff = RationalMatrix(
-            rows, basis.cols, [rng.choice(pool) for _ in range(rows * basis.cols)]
+            rows, basis.cols, [rng.choice(_ENTRY_POOL) for _ in range(rows * basis.cols)]
         )
         blk = coeff @ basis.transpose()
         if rows and cols:

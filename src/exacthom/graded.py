@@ -218,27 +218,9 @@ class GradedMap:
         )
 
 
-def shift_space(v: GradedVectorSpace, s: int) -> GradedVectorSpace:
-    return v.shift(s)
-
-
-def direct_sum_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpace:
-    return v.direct_sum(w)
-
-
 def dual_space(v: GradedVectorSpace) -> GradedVectorSpace:
     """Dual graded space: dimension at degree d equals dim of v at -d."""
     return GradedVectorSpace({-k: d for k, d in v.dims.items()})
-
-
-def compose(g: GradedMap, f: GradedMap) -> GradedMap:
-    """g after f; degrees add."""
-    return g @ f
-
-
-def scale_and_add(a, f: GradedMap, b, g: GradedMap) -> GradedMap:
-    """Blockwise a*f + b*g for maps of identical type and degree."""
-    return f.scale(a) + g.scale(b)
 
 
 def hom_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpace:

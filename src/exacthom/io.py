@@ -1,13 +1,15 @@
 """JSON readers for graded spaces, complexes, cell complexes, representations.
 
 All scalar entries are exact: integers or strings like "3/4".  Floats are
-rejected so no rounding can sneak in.  Parsers take decoded JSON values;
-load_* helpers wrap file access.
+rejected so no rounding can sneak in, and strings must be plain ASCII
+integers or "p/q" (no spaces, underscores, exponents or decimal points).
+Parsers take decoded JSON values; load_* helpers wrap file access.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Dict, Union
 
@@ -18,6 +20,8 @@ from .graded import GradedMap, GradedVectorSpace
 from .quiver import QuiverPresentation, Representation, builtin_quiver
 from .rational import RationalMatrix
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def load_document(path: str):
     try:
@@ -25,7 +29,7 @@ def load_document(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal too long for int()
         raise FormatError(f"{path} is not valid JSON: {exc}")
 
 
@@ -42,24 +46,26 @@ def _expect_list(obj, what: str) -> list:
 
 
 def _int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise FormatError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise FormatError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(f"{what} must be an integer, got {value!r}")
 
 
 def _scalar(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise FormatError(f"matrix entries must be exact (int or 'p/q'), got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad rational literal {value!r}")
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise FormatError(f"bad rational literal {value!r}")
     raise FormatError(f"matrix entries must be exact (int or 'p/q'), got {value!r}")
 
 

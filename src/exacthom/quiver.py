@@ -140,7 +140,7 @@ class Representation:
 
     Generators missing from maps get the zero map of their degree.
     Structural shape is enforced here; the degree, relation, and
-    invertibility constraints are checked by validate_representation.
+    invertibility constraints are checked by first_violation.
     """
 
     quiver: QuiverPresentation
@@ -194,10 +194,6 @@ class Representation:
                 if not rho.block(i).is_invertible():
                     return f"invertibility:{g.name}"
         return None
-
-
-def validate_representation(r: Representation) -> bool:
-    return r.first_violation() is None
 
 
 def _require_valid_pair(v: Representation, w: Representation) -> None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import exacthom.classify
 from exacthom.classify import (
     SampleConfig,
     check_concentrated_lemma,
@@ -16,12 +17,12 @@ from exacthom.classify import (
     sample_representation_at,
     sample_representations,
 )
+from exacthom.complexes import CohomologyResult
 from exacthom.errors import FormatError
 from exacthom.quiver import (
     floer_cohomology,
     sphere_quiver,
     torus_quiver,
-    validate_representation,
 )
 
 
@@ -40,25 +41,13 @@ class TestConfig:
         with pytest.raises(FormatError):
             SampleConfig(max_total_dim=0)
 
-    def test_empty_band(self):
-        with pytest.raises(FormatError):
-            SampleConfig(degree_band=(2, -2))
-
-    def test_empty_pool(self):
-        with pytest.raises(FormatError):
-            SampleConfig(scalar_pool=())
-
-    def test_pool_normalized_to_fractions(self):
-        cfg = SampleConfig(scalar_pool=(1, -1))
-        assert all(isinstance(x, Fraction) for x in cfg.scalar_pool)
-
 
 class TestSampling:
     def test_sphere_samples_validate(self):
         cfg = SampleConfig(seed=7, count=40)
         reps = list(sample_representations(sphere_quiver(), cfg))
         assert len(reps) == 40
-        assert all(validate_representation(r) for r in reps)
+        assert all(r.first_violation() is None for r in reps)
 
     def test_torus_samples_validate(self):
         # commutation and invertibility must hold by construction
@@ -72,9 +61,12 @@ class TestSampling:
             assert 1 <= rep.space.total_dim() <= 2
 
     def test_respects_degree_band(self):
-        cfg = SampleConfig(seed=3, count=60, degree_band=(-1, 4))
-        for rep in sample_representations(sphere_quiver(), cfg):
-            assert all(-1 <= i <= 4 for i in rep.space.degrees())
+        cfg = SampleConfig(seed=3, count=60)
+        seen = set()
+        for quiver in (sphere_quiver(), torus_quiver()):
+            for rep in sample_representations(quiver, cfg):
+                seen.update(rep.space.degrees())
+        assert seen == set(range(-3, 4))
 
     def test_deterministic(self):
         cfg = SampleConfig(seed=5, count=25)
@@ -135,7 +127,7 @@ class TestEnumeration:
     def test_sphere_exhaustive_count(self):
         reps = list(enumerate_sphere_representations())
         assert len(reps) == 28
-        assert all(validate_representation(r) for r in reps)
+        assert all(r.first_violation() is None for r in reps)
 
     def test_torus_exhaustive_valid(self):
         reps = list(enumerate_torus_representations())
@@ -180,18 +172,70 @@ class TestChecks:
             run_check("klein_bottle", cfg)
 
     def test_concentrated_support_shape(self):
-        """Spot-check the lemma directly at the extreme degrees for a few
+        """The closed form at the ends, the support bound and duality, for
         sampled spread representations."""
         cfg = SampleConfig(seed=17, count=40)
         seen = 0
         for rep in sample_representations(sphere_quiver(), cfg):
             degs = rep.space.degrees()
-            k = max(degs) - min(degs)
+            lo, hi = min(degs), max(degs)
+            k = hi - lo
             if k < 1:
                 continue
             hf = floer_cohomology(rep, rep)
-            assert hf.dim(-k) > 0
-            assert hf.dim(k + 2) > 0
-            assert max(hf.support()) - min(hf.support()) + 1 >= 4
+            ends = rep.space.dim(lo) * rep.space.dim(hi)
+            assert hf.dim(-k) == hf.dim(k + 2) == ends
+            assert all(-k <= d <= k + 2 for d in hf.dims)
+            assert all(hf.dim(d) == hf.dim(2 - d) for d in range(-k, k + 3))
             seen += 1
         assert seen > 0
+
+    def test_one_degree_closed_form(self):
+        for rep in enumerate_sphere_representations():
+            m = rep.space.total_dim()
+            if len(rep.space.degrees()) == 1:
+                assert floer_cohomology(rep, rep).dims == {0: m * m, 2: m * m}
+
+
+class TestChecksCanFail:
+    """Each sweep reports a cohomology that breaks duality or the closed form."""
+
+    SKEWED = "duality HF^d = HF^(2-d) fails at d in [0]:"
+
+    @staticmethod
+    def spread(rep):
+        return max(rep.space.degrees()) - min(rep.space.degrees())
+
+    @pytest.fixture
+    def skewed(self, monkeypatch):
+        """HF^0 one too large on spread >= 1 spaces: only duality breaks."""
+        true = floer_cohomology
+
+        def skew(v, w):
+            dims = dict(true(v, w).dims)
+            if self.spread(v) >= 1:
+                dims[0] = dims.get(0, 0) + 1
+            return CohomologyResult(dims)
+
+        monkeypatch.setattr(exacthom.classify, "floer_cohomology", skew)
+
+    def test_sphere_reports_broken_duality(self, skewed):
+        cfg = SampleConfig(seed=3, count=40)
+        report = check_sphere_theorem(cfg)
+        reps = [*enumerate_sphere_representations(), *sample_representations(sphere_quiver(), cfg)]
+        assert len(report.violations) == sum(self.spread(r) >= 1 for r in reps) > 0
+        assert all(v["detail"].startswith(self.SKEWED) for v in report.violations)
+
+    def test_concentrated_reports_broken_duality(self, skewed):
+        report = check_concentrated_lemma(SampleConfig(seed=3, count=40))
+        assert len(report.violations) == report.samples_checked > 0
+        assert all(v["detail"].startswith(self.SKEWED) for v in report.violations)
+
+    def test_empty_cohomology_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(
+            exacthom.classify, "floer_cohomology", lambda v, w: CohomologyResult({})
+        )
+        cfg = SampleConfig(seed=3, count=10)
+        assert len(check_sphere_theorem(cfg).violations) == 28 + 10
+        report = check_concentrated_lemma(cfg)
+        assert len(report.violations) == report.samples_checked > 0

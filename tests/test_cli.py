@@ -109,6 +109,19 @@ class TestHomology:
         assert code == 2
         assert "error" in err
 
+    def test_exponent_literal_refused(self, capsys, tmp_path):
+        path = write_json(tmp_path, {"dims": {"0": 1, "1": 1}, "differential": {"0": [["1e5"]]}})
+        code, out, err = run(capsys, "homology", path)
+        assert (code, out) == (2, "")
+        assert "bad rational literal '1e5'" in err
+
+    def test_overlong_integer_literal_refused(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"dims": {"0": 1}, "differential": {"0": [[' + "1" * 5000 + "]]}}")
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (2, "")
+        assert "not valid JSON" in err
+
 
 class TestClassify:
     def test_sphere(self, capsys):

@@ -51,6 +51,22 @@ class TestScalars:
         with pytest.raises(FormatError):
             parse_matrix([[1, 2], [3]])
 
+    def test_signed_and_padded_digits_accepted(self):
+        m = parse_matrix([["+3", "-2/4", "007", "0/5"]])
+        assert m.entries() == (3, Fraction(-1, 2), 7, 0)
+        assert parse_graded_space({"+1": "02", "-0": 1}).dims == {0: 1, 1: 2}
+
+    @pytest.mark.parametrize(
+        "literal", ["1e5", "0.5", " 3 ", "1_000", "\u0663", "3\n", "1/0", "1/-2", "+", "", "1/"]
+    )
+    def test_only_plain_integers_and_fractions(self, literal):
+        with pytest.raises(FormatError):
+            parse_matrix([[literal]])
+        with pytest.raises(FormatError):
+            parse_graded_space({literal: 1})
+        with pytest.raises(FormatError):
+            parse_graded_space({"0": literal})
+
 
 class TestGradedSpace:
     def test_string_degree_keys(self):
