@@ -3,14 +3,17 @@
 Subcommands: homology (cell complexes or raw cochain complexes), classify
 (surface identification), floer (morphism-complex cohomology of two
 representations), verify (theorem sweeps).  Exit codes: 0 success, 1
-violation or classification failure, 2 input error.  --json emits one
-machine-readable line; identical inputs give byte-identical output.
+violation or classification failure, 2 input error, 141 (128 + SIGPIPE, as
+a shell reports it) when the reader closes stdout before the output is
+written, with nothing on stderr.  --json emits one machine-readable line;
+identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence, Union
 
@@ -182,7 +185,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ClassificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,9 @@
 All scalar entries are exact: integers or strings like "3/4".  Floats are
 rejected so no rounding can sneak in, and strings must be plain ASCII
 integers or "p/q" (no spaces, underscores, exponents or decimal points).
+Names (cell ids, incidence ends, generator names, relation generators and
+word letters) must be JSON strings; a number, boolean, null or list is
+rejected rather than turned into text.
 Parsers take decoded JSON values; load_* helpers wrap file access.
 """
 
@@ -54,6 +57,12 @@ def _int(value, what: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise FormatError(f"{what} must be an integer, got {value!r}")
+
+
+def _name(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise FormatError(f"{what} must be a string, got {json.dumps(value)}")
 
 
 def _scalar(value) -> Fraction:
@@ -124,14 +133,18 @@ def parse_cell_complex(obj) -> CellComplex:
         e = _expect_mapping(entry, "cell")
         if "id" not in e or "dim" not in e:
             raise FormatError("each cell needs 'id' and 'dim'")
-        cells.append((str(e["id"]), _int(e["dim"], "cell dim")))
+        cells.append((_name(e["id"], "cell id"), _int(e["dim"], "cell dim")))
     incidence = []
     for entry in _expect_list(mapping.get("incidence", []), "incidence"):
         e = _expect_mapping(entry, "incidence entry")
         for field in ("from", "to", "coeff"):
             if field not in e:
                 raise FormatError(f"each incidence entry needs '{field}'")
-        incidence.append((str(e["from"]), str(e["to"]), _int(e["coeff"], "coeff")))
+        incidence.append((
+            _name(e["from"], "incidence 'from'"),
+            _name(e["to"], "incidence 'to'"),
+            _int(e["coeff"], "coeff"),
+        ))
     return CellComplex(cells, incidence)
 
 
@@ -150,7 +163,8 @@ def parse_quiver(obj) -> QuiverPresentation:
         invertible = e.get("invertible", False)
         if not isinstance(invertible, bool):
             raise FormatError("'invertible' must be a boolean")
-        generators.append((str(e["name"]), _int(e["degree"], "degree"), invertible))
+        name = _name(e["name"], "generator name")
+        generators.append((name, _int(e["degree"], "degree"), invertible))
     relations = []
     for entry in _expect_list(mapping.get("relations", []), "relations"):
         e = _expect_mapping(entry, "relation")
@@ -161,9 +175,9 @@ def parse_quiver(obj) -> QuiverPresentation:
             t = _expect_mapping(term, "relation term")
             if "coeff" not in t or "word" not in t:
                 raise FormatError("each relation term needs 'coeff' and 'word'")
-            word = tuple(str(x) for x in _expect_list(t["word"], "word"))
+            word = tuple(_name(x, "word letter") for x in _expect_list(t["word"], "word"))
             terms.append((_int(t["coeff"], "coeff"), word))
-        relations.append((str(e["generator"]), tuple(terms)))
+        relations.append((_name(e["generator"], "relation generator"), tuple(terms)))
     return QuiverPresentation(tuple(generators), tuple(relations))
 
 

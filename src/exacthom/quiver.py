@@ -18,18 +18,15 @@ image being zero forces d^2 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping, Optional, Tuple
 
 from .complexes import CochainComplex, CohomologyResult
 from .errors import FormatError, RepresentationError, UnsupportedDifferentialError
-from .graded import (
-    GradedMap,
-    GradedVectorSpace,
-    hom_basis,
-    hom_coordinates,
-    hom_space,
-)
+from .graded import GradedMap, GradedVectorSpace, hom_block_layout, hom_space
+# Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
+from .graded import hom_basis, hom_coordinates  # noqa: F401
 from .rational import RationalMatrix
 
 Word = Tuple[str, ...]
@@ -163,9 +160,6 @@ class Representation:
                 out[g.name] = GradedMap.zero(self.space, self.space, g.degree)
         object.__setattr__(self, "maps", out)
 
-    def map_of(self, name: str) -> GradedMap:
-        return self.maps[name]
-
     def evaluate_word(self, word: Word) -> GradedMap:
         m = self.maps[word[0]]
         for name in word[1:]:
@@ -233,6 +227,9 @@ def _hom_summands(
     return u, tuple(layout), total
 
 
+_NO_BLOCK = RationalMatrix.zero(0, 0)
+
+
 def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     """Morphism complex hom(v, w) with its differential when available.
 
@@ -247,26 +244,29 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     if not defined:
         return HomComplexResult(CochainComplex.zero_differential(total), layout, False)
 
-    shifts = [s for _, s in layout]
+    # Column (i, r, c) of degree p is the elementary map E_rc: V^i -> W^{i+p}.
+    # For x of degree e, x E_rc puts column r of rho_W(x) at W^{i+p} into
+    # column c, and E_rc x puts row c of rho_V(x) at V^{i-e} into row r.
+    gens = [(g.degree, w.maps[g.name].blocks(), v.maps[g.name].blocks()) for g in quiver.generators]
     blocks: Dict[int, RationalMatrix] = {}
     for p in total.degrees():
         rows_dim = total.dim(p + 1)
-        cols_dim = total.dim(p)
         if rows_dim == 0:
             continue
-        row_offsets = [0]
-        for s in shifts:
-            row_offsets.append(row_offsets[-1] + u.dim(p + 1 + s))
-        grid = [[0] * cols_dim for _ in range(rows_dim)]
-        for col, t0 in enumerate(hom_basis(v.space, w.space, p)):
-            for gi, g in enumerate(quiver.generators):
-                sign = -1 if (p * g.degree) % 2 else 1
-                s_map = (w.maps[g.name] @ t0) - (t0 @ v.maps[g.name]).scale(sign)
-                off = row_offsets[gi + 1]
-                for k, val in enumerate(hom_coordinates(s_map)):
-                    if val:
-                        grid[off + k][col] = val
-        blocks[p] = RationalMatrix(rows_dim, cols_dim, [x for row in grid for x in row])
+        cols_dim = total.dim(p)
+        out = [Fraction(0)] * (rows_dim * cols_dim)
+        off = u.dim(p + 1)
+        for e, w_blocks, v_blocks in gens:
+            pos = {key: off + k for k, key in enumerate(hom_block_layout(v.space, w.space, p + e))}
+            sign = -1 if (p * e) % 2 else 1
+            for col, (i, r, c) in enumerate(hom_block_layout(v.space, w.space, p)):
+                g, f = w_blocks.get(i + p, _NO_BLOCK), v_blocks.get(i - e, _NO_BLOCK)
+                for a in range(g.rows):
+                    out[pos[i, a, c] * cols_dim + col] += g[a, r]
+                for b in range(f.cols):
+                    out[pos[i - e, r, b] * cols_dim + col] -= sign * f[c, b]
+            off += u.dim(p + e)
+        blocks[p] = RationalMatrix(rows_dim, cols_dim, out)
     diff = GradedMap(total, total, 1, blocks)
     return HomComplexResult(CochainComplex(total, diff), layout, True)
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import exacthom
 from exacthom.cli import main
 
 
@@ -274,3 +278,77 @@ class TestParser:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "homology", "builtin:torus", "--fast")[0] == 2
+
+
+def _cell_doc():
+    return {
+        "cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}],
+        "incidence": [{"from": "e", "to": "v", "coeff": 0}],
+    }
+
+
+def _representation_doc():
+    return {
+        "quiver": {
+            "generators": [{"name": "z", "degree": -1}, {"name": "a", "degree": 0}],
+            "relations": [{"generator": "z", "terms": [{"coeff": 1, "word": ["a"]}]}],
+        },
+        "space": {"0": 1},
+    }
+
+
+# (command, document, path to one name in the document)
+_NAME_FIELDS = [
+    ("homology", _cell_doc, ("cells", 0, "id")),
+    ("homology", _cell_doc, ("incidence", 0, "from")),
+    ("homology", _cell_doc, ("incidence", 0, "to")),
+    ("floer", _representation_doc, ("quiver", "generators", 0, "name")),
+    ("floer", _representation_doc, ("quiver", "relations", 0, "generator")),
+    ("floer", _representation_doc, ("quiver", "relations", 0, "terms", 0, "word", 0)),
+]
+
+
+def _run_doc(capsys, tmp_path, command, doc):
+    path = write_json(tmp_path, doc)
+    return run(capsys, command, *[path] * (2 if command == "floer" else 1))
+
+
+class TestNames:
+    @pytest.mark.parametrize("command, make", [("homology", _cell_doc), ("floer", _representation_doc)])
+    def test_string_names_accepted(self, capsys, tmp_path, command, make):
+        assert _run_doc(capsys, tmp_path, command, make())[0] == 0
+
+    @pytest.mark.parametrize("value", [1, None, True, [1]])
+    @pytest.mark.parametrize(
+        "command, make, path", _NAME_FIELDS, ids=["/".join(map(str, p)) for _, _, p in _NAME_FIELDS]
+    )
+    def test_non_string_name_refused(self, capsys, tmp_path, command, make, path, value):
+        doc = make()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code, out, err = _run_doc(capsys, tmp_path, command, doc)
+        assert code == 2
+        assert out == ""
+        assert "must be a string" in err
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_quietly(self):
+        """A reader that is gone before any output gets exit 141 and no traceback."""
+        src = os.path.dirname(os.path.dirname(exacthom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "exacthom", "homology", "builtin:torus"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141

@@ -180,7 +180,7 @@ class TestRepresentation:
         }
         rep = parse_representation(doc)
         assert rep.quiver == sphere_quiver()
-        assert rep.map_of("z").block(1)[(0, 0)] == 2
+        assert rep.maps["z"].block(1)[(0, 0)] == 2
 
     def test_unknown_generator(self):
         doc = {"quiver": "sphere", "space": {"0": 1}, "maps": {"q": {}}}
@@ -189,7 +189,7 @@ class TestRepresentation:
 
     def test_maps_optional(self):
         rep = parse_representation({"quiver": "sphere", "space": {"0": 2}})
-        assert rep.map_of("z").is_zero()
+        assert rep.maps["z"].is_zero()
 
 
 class TestFiles:

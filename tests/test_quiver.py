@@ -8,7 +8,8 @@ from exacthom.errors import (
     RepresentationError,
     UnsupportedDifferentialError,
 )
-from exacthom.graded import GradedMap, GradedVectorSpace, hom_space
+from exacthom.classify import SampleConfig, sample_representation_at
+from exacthom.graded import GradedMap, GradedVectorSpace, hom_basis, hom_coordinates, hom_space
 from exacthom.quiver import (
     Generator,
     QuiverPresentation,
@@ -51,6 +52,30 @@ def sphere_rep(dims, blocks):
         space, space, -1, {i: RationalMatrix.from_rows(m) for i, m in blocks.items()}
     )
     return Representation(sphere_quiver(), space, {"z": f})
+
+
+def elementary_block(v, w, p):
+    """Reference degree-p block of the hom_complex differential.
+
+    Each basis map t of degree p (hom_basis order) goes to
+    x t - (-1)^{p|x|} t x in the summand of every generator x, read back
+    with hom_coordinates; the unshifted summand's rows stay zero, and so
+    do the columns of the shifted summands.
+    """
+    u = hom_space(v.space, w.space)
+    gens = v.quiver.generators
+    rows = u.dim(p + 1) + sum(u.dim(p + g.degree) for g in gens)
+    cols = u.dim(p) + sum(u.dim(p + g.degree - 1) for g in gens)
+    grid = [[Fraction(0)] * cols for _ in range(rows)]
+    for col, t in enumerate(hom_basis(v.space, w.space, p)):
+        off = u.dim(p + 1)
+        for g in gens:
+            sign = -1 if (p * g.degree) % 2 else 1
+            image = w.maps[g.name] @ t - (t @ v.maps[g.name]).scale(sign)
+            for k, val in enumerate(hom_coordinates(image)):
+                grid[off + k][col] = val
+            off += u.dim(p + g.degree)
+    return grid
 
 
 def torus_rep(dims, alpha, beta, gamma=None):
@@ -146,8 +171,8 @@ class TestValidation:
 
     def test_missing_maps_default_to_zero(self):
         rep = Representation(sphere_quiver(), GradedVectorSpace({0: 1}), {})
-        assert rep.map_of("z").is_zero()
-        assert rep.map_of("z").degree == -1
+        assert rep.maps["z"].is_zero()
+        assert rep.maps["z"].degree == -1
 
 
 class TestHomComplex:
@@ -238,6 +263,49 @@ class TestHomComplex:
         hand = {n: d for n, d in hand.items() if d}
         assert floer_cohomology(rep, rep).dims == hand == {-1: 1, 0: 1, 2: 1, 3: 1}
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_differential_matches_elementary_assembly_on_sphere_samples(self, seed):
+        for max_dim in (2, 5, 8):
+            cfg = SampleConfig(seed=seed, count=4, max_total_dim=max_dim)
+            reps = [sample_representation_at(sphere_quiver(), cfg, k) for k in range(4)]
+            for v, w in [(reps[0], reps[0]), (reps[1], reps[2]), (reps[3], reps[1])]:
+                cx = hom_complex(v, w).complex
+                for p in cx.space.degrees():
+                    assert cx.differential.block(p).to_lists() == elementary_block(v, w, p)
+
+    def test_differential_matches_elementary_assembly_on_mixed_degrees(self):
+        """Generators of degree 0, 1 and -2 with no relations.
+
+        Only the unshifted summand maps out, so d^2 = 0 whatever the
+        entries: this comparison is what pins the sign (-1)^{p|x|} and the
+        offset of each generator's summand.
+        """
+        quiver = QuiverPresentation(
+            (Generator("a", 0), Generator("b", 1), Generator("c", -2))
+        )
+        rng = random.Random(7)
+
+        def random_rep():
+            space = GradedVectorSpace({d: rng.randint(0, 2) for d in range(-2, 3)})
+            maps = {}
+            for g in quiver.generators:
+                blocks = {}
+                for i in space.degrees():
+                    r, c = space.dim(i + g.degree), space.dim(i)
+                    if r:
+                        blocks[i] = RationalMatrix(
+                            r, c, [rng.choice((0, 1, -2, "1/2", "-3/4")) for _ in range(r * c)]
+                        )
+                maps[g.name] = GradedMap(space, space, g.degree, blocks)
+            return Representation(quiver, space, maps)
+
+        for _ in range(6):
+            v, w = random_rep(), random_rep()
+            for a, b in [(v, v), (v, w)]:
+                cx = hom_complex(a, b).complex
+                for p in cx.space.degrees():
+                    assert cx.differential.block(p).to_lists() == elementary_block(a, b, p)
+
     def test_differential_squares_to_zero_on_samples(self):
         for blocks in [{}, {1: [[1]]}, {1: [[-1]]}]:
             rep = sphere_rep({0: 1, 1: 1}, blocks)
@@ -274,7 +342,7 @@ class TestFloer:
 
         def direct_sum(a, b):
             space = a.space.direct_sum(b.space)
-            za, zb = a.map_of("z"), b.map_of("z")
+            za, zb = a.maps["z"], b.maps["z"]
             z = GradedMap(
                 space, space, -1, {i: block_diag(za.block(i), zb.block(i)) for i in space.degrees()}
             )
