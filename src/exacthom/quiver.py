@@ -18,8 +18,8 @@ image being zero forces d^2 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Mapping, Optional, Tuple
 
 from .complexes import CochainComplex, CohomologyResult
@@ -31,6 +31,13 @@ from .rational import RationalMatrix
 
 Word = Tuple[str, ...]
 Term = Tuple[int, Word]
+
+
+def _require(value, kind: type, what: str):
+    """value itself if it is a kind, else FormatError; a bool is not an int."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise FormatError(f"{what} must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,11 @@ class QuiverPresentation:
     relations: Tuple[Tuple[str, Tuple[Term, ...]], ...] = ()
 
     def __post_init__(self):
-        gens = tuple(
-            g if isinstance(g, Generator) else Generator(str(g[0]), int(g[1]), bool(g[2]))
-            for g in self.generators
-        )
+        gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in self.generators)
+        for g in gens:
+            _require(g.name, str, "generator name")
+            _require(g.degree, int, f"degree of generator {g.name!r}")
+            _require(g.invertible, bool, f"invertible flag of generator {g.name!r}")
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise FormatError("generator names must be unique")
@@ -64,7 +72,7 @@ class QuiverPresentation:
         rels = []
         seen = set()
         for name, terms in self.relations:
-            name = str(name)
+            _require(name, str, "relation generator")
             if name not in degree_of:
                 raise FormatError(f"relation for unknown generator {name!r}")
             if name in seen:
@@ -72,10 +80,10 @@ class QuiverPresentation:
             seen.add(name)
             clean: list = []
             for coeff, word in terms:
-                coeff = int(coeff)
+                _require(coeff, int, f"relation coefficient for {name!r}")
                 if coeff == 0:
                     continue
-                word = tuple(str(x) for x in word)
+                word = tuple(_require(x, str, "word letter") for x in word)
                 if not 1 <= len(word) <= 2:
                     raise FormatError("relation words must have length 1 or 2")
                 for x in word:
@@ -227,7 +235,7 @@ def _hom_summands(
     return u, tuple(layout), total
 
 
-_NO_BLOCK = RationalMatrix.zero(0, 0)
+_NO_BLOCK = (0, 0, ())
 
 
 def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
@@ -247,26 +255,34 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     # Column (i, r, c) of degree p is the elementary map E_rc: V^i -> W^{i+p}.
     # For x of degree e, x E_rc puts column r of rho_W(x) at W^{i+p} into
     # column c, and E_rc x puts row c of rho_V(x) at V^{i-e} into row r.
-    gens = [(g.degree, w.maps[g.name].blocks(), v.maps[g.name].blocks()) for g in quiver.generators]
+    # Blocks are read as (rows, cols, numerators) over one denominator den.
+    maps = [(g.degree, w.maps[g.name].blocks(), v.maps[g.name].blocks()) for g in quiver.generators]
+    den = lcm(*(b.denominator for _, wb, vb in maps for b in (*wb.values(), *vb.values())))
+
+    def over_den(blocks):
+        return {i: (b.rows, b.cols, b.over(den)) for i, b in blocks.items()}
+
+    gens = [(e, over_den(wb), over_den(vb)) for e, wb, vb in maps]
     blocks: Dict[int, RationalMatrix] = {}
     for p in total.degrees():
         rows_dim = total.dim(p + 1)
         if rows_dim == 0:
             continue
         cols_dim = total.dim(p)
-        out = [Fraction(0)] * (rows_dim * cols_dim)
+        out = [0] * (rows_dim * cols_dim)
         off = u.dim(p + 1)
         for e, w_blocks, v_blocks in gens:
             pos = {key: off + k for k, key in enumerate(hom_block_layout(v.space, w.space, p + e))}
             sign = -1 if (p * e) % 2 else 1
             for col, (i, r, c) in enumerate(hom_block_layout(v.space, w.space, p)):
-                g, f = w_blocks.get(i + p, _NO_BLOCK), v_blocks.get(i - e, _NO_BLOCK)
-                for a in range(g.rows):
-                    out[pos[i, a, c] * cols_dim + col] += g[a, r]
-                for b in range(f.cols):
-                    out[pos[i - e, r, b] * cols_dim + col] -= sign * f[c, b]
+                g_rows, g_cols, g = w_blocks.get(i + p, _NO_BLOCK)
+                _, f_cols, f = v_blocks.get(i - e, _NO_BLOCK)
+                for a in range(g_rows):
+                    out[pos[i, a, c] * cols_dim + col] += g[a * g_cols + r]
+                for b in range(f_cols):
+                    out[pos[i - e, r, b] * cols_dim + col] -= sign * f[c * f_cols + b]
             off += u.dim(p + e)
-        blocks[p] = RationalMatrix(rows_dim, cols_dim, out)
+        blocks[p] = RationalMatrix.from_numerators(rows_dim, cols_dim, out, den)
     diff = GradedMap(total, total, 1, blocks)
     return HomComplexResult(CochainComplex(total, diff), layout, True)
 

@@ -3,17 +3,19 @@
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, exact arithmetic).  Matrices are immutable, dense, row-major,
 and support the rank/kernel computations every homology calculation in
-this package reduces to.  Rank clears each row's denominators and runs
-fraction-free (Bareiss) elimination on Python ints; the Fraction reduced
-row echelon form is kept for the kernel basis.  Zero-by-n and n-by-zero
-matrices are first-class values: they represent zero maps in and out of
-the zero space.
+this package reduces to.  A matrix stores Python int numerators over one
+positive denominator, in lowest terms, so products, sums, the zero test
+and rank run on ints and build no Fraction; rank is fraction-free
+(Bareiss) elimination on the numerators.  Entries read back one at a time
+are Fractions.  The Fraction reduced row echelon form is kept for the
+kernel basis.  Zero-by-n and n-by-zero matrices are first-class values:
+they represent zero maps in and out of the zero space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -21,8 +23,6 @@ from .errors import ShapeError
 Rational = Fraction
 
 Scalar = Union[Fraction, int, str]
-
-_ZERO = Fraction(0)
 
 
 def rat(value: Scalar) -> Fraction:
@@ -37,36 +37,64 @@ def rat(value: Scalar) -> Fraction:
 
 
 class RationalMatrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "_entries")
+    Stored as a row-major tuple of int numerators over one positive
+    denominator, kept canonical: gcd(denominator, *numerators) == 1, so the
+    zero matrix has denominator 1 and equal matrices have equal fields.
+    """
+
+    __slots__ = ("rows", "cols", "numerators", "denominator")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         if rows < 0 or cols < 0:
             raise ShapeError("matrix dimensions must be nonnegative")
-        data = tuple(rat(x) for x in entries)
+        data = [x if type(x) is int else rat(x) for x in entries]
         if len(data) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
             )
+        # Over the lcm of lowest-terms denominators the numerators share no
+        # factor with it, so the result is already canonical.
+        den = lcm(*(x.denominator for x in data))
         self.rows = rows
         self.cols = cols
-        self._entries = data
+        self.numerators = tuple(x.numerator * (den // x.denominator) for x in data)
+        self.denominator = den
 
     @classmethod
-    def _of_fractions(cls, rows: int, cols: int, entries: Iterable[Fraction]) -> "RationalMatrix":
-        """Trusted constructor: rows * cols entries, every one already a Fraction."""
+    def _raw(cls, rows: int, cols: int, nums: tuple[int, ...], den: int) -> "RationalMatrix":
+        """Trusted constructor: rows * cols numerators, already canonical over den > 0."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._entries = tuple(entries)
+        m.numerators = nums
+        m.denominator = den
         return m
+
+    @classmethod
+    def from_numerators(
+        cls, rows: int, cols: int, nums: Iterable[int], den: int
+    ) -> "RationalMatrix":
+        """Matrix of entries num / den for rows * cols int numerators and den > 0."""
+        nums = tuple(nums)
+        if rows < 0 or cols < 0 or den <= 0:
+            raise ShapeError("matrix dimensions must be nonnegative and the denominator positive")
+        if len(nums) != rows * cols:
+            raise ShapeError(
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(nums)}"
+            )
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(x // g for x in nums)
+        return cls._raw(rows, cols, nums, den)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         if rows < 0 or cols < 0:
             raise ShapeError("matrix dimensions must be nonnegative")
-        return cls._of_fractions(rows, cols, [_ZERO] * (rows * cols))
+        return cls._raw(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -83,18 +111,27 @@ class RationalMatrix:
             flat.extend(r)
         return cls(nrows, ncols, flat)
 
+    def over(self, den: int) -> tuple[int, ...]:
+        """Numerators of the entries written over den, a multiple of the denominator."""
+        k, r = divmod(den, self.denominator)
+        if r:
+            raise ShapeError(f"{den} is not a multiple of the denominator {self.denominator}")
+        return self.numerators if k == 1 else tuple(k * x for x in self.numerators)
+
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"index ({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self._entries[i * self.cols + j]
+        return Fraction(self.numerators[i * self.cols + j], self.denominator)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in self.numerators[i * self.cols : (i + 1) * self.cols])
 
     def entries(self) -> tuple[Fraction, ...]:
         """Row-major tuple of all entries."""
-        return self._entries
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in self.numerators)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -105,11 +142,12 @@ class RationalMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.rows, self.cols, self.denominator, self.numerators))
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -120,18 +158,24 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._entries)
+        return not any(self.numerators)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [-x for x in self._entries])
+        return RationalMatrix._raw(
+            self.rows, self.cols, tuple(-x for x in self.numerators), self.denominator
+        )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return RationalMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)]
+        den = lcm(self.denominator, other.denominator)
+        return RationalMatrix.from_numerators(
+            self.rows,
+            self.cols,
+            [a + b for a, b in zip(self.over(den), other.over(den))],
+            den,
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -139,7 +183,10 @@ class RationalMatrix:
 
     def scale(self, c: Scalar) -> "RationalMatrix":
         f = rat(c)
-        return RationalMatrix(self.rows, self.cols, [f * x for x in self._entries])
+        k = f.numerator
+        return RationalMatrix.from_numerators(
+            self.rows, self.cols, [k * x for x in self.numerators], f.denominator * self.denominator
+        )
 
     def __rmul__(self, c: Scalar) -> "RationalMatrix":
         return self.scale(c)
@@ -147,36 +194,39 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Exact product; zero entries of either factor cost no arithmetic.
 
-        Each nonzero left entry (i, t) is multiplied only into the nonzero
-        entries of right row t: one multiply-add per pair of nonzero
-        factors, not rows * inner * cols of them.
+        The numerators multiply as ints over the product of the two
+        denominators, reduced once.  Each nonzero left entry (i, t) is
+        multiplied only into the nonzero entries of right row t: one
+        multiply-add per pair of nonzero factors, not rows * inner * cols.
         """
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         m, k, n = self.rows, self.cols, other.cols
-        out = [_ZERO] * (m * n)
+        out = [0] * (m * n)
         if m and k and n:
-            right = other._entries
+            right = other.numerators
             right_rows = [
                 [(j, y) for j, y in enumerate(right[t * n : (t + 1) * n]) if y]
                 for t in range(k)
             ]
-            left = self._entries
+            left = self.numerators
             for i in range(m):
                 base = i * n
                 for t, x in enumerate(left[i * k : (i + 1) * k]):
                     if x:
                         for j, y in right_rows[t]:
                             out[base + j] += x * y
-        return RationalMatrix._of_fractions(m, n, out)
+        return RationalMatrix.from_numerators(m, n, out, self.denominator * other.denominator)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
+        nums, n = self.numerators, self.cols
+        return RationalMatrix._raw(
             self.cols,
             self.rows,
-            [self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+            tuple(nums[i * n + j] for j in range(n) for i in range(self.rows)),
+            self.denominator,
         )
 
     def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
@@ -209,41 +259,59 @@ class RationalMatrix:
     def rank(self) -> int:
         """Dimension of the column space, by fraction-free elimination.
 
-        Each row is scaled by the lcm of its denominators, which keeps the
-        rank, and zero rows are dropped.  Bareiss elimination then runs on
-        the integer rows: each pivot p with previous pivot prev turns every
-        remaining row into (p*x - a*y) // prev, a division that is always
-        exact.  Remaining rows are zero up to the pivot column, so only the
-        columns after it are kept; columns with no pivot are skipped, and rows
-        that become zero are dropped.
+        Neither the common denominator nor a row's content (the gcd of its
+        numerators) changes the rank, so each nonzero numerator row is
+        divided by its content, which keeps the entries small when rows
+        were scaled by different factors, and zero rows are dropped.
+        Bareiss elimination then runs on these integer rows, one column at a
+        time: with pivot p and previous pivot prev, every remaining row
+        becomes (p*x - a*y) // prev, a division that is always exact, and
+        rows that become zero are dropped.  A row whose entry a in the pivot
+        column is 0 would only be multiplied by p / prev; that product
+        telescopes, so the row is left as it is, with the pivot it was last
+        computed under, and is brought up to date (times prev, divided by
+        that pivot, again exact) only when it next meets a nonzero a.  A
+        sparse matrix thus costs work only on the rows each pivot touches.
         """
-        rows: list[list[int]] = []
+        nums, n = self.numerators, self.cols
+        # (start, pivot, entries): entries[j] is column start + j, and the
+        # row's current Bareiss value is entries * prev // pivot.
+        rows: list[tuple[int, int, Sequence[int]]] = []
         for i in range(self.rows):
-            row = self.row(i)
-            if any(row):
-                scale = lcm(*(x.denominator for x in row))
-                rows.append([x.numerator * (scale // x.denominator) for x in row])
+            row = nums[i * n : (i + 1) * n]
+            content = gcd(*row)
+            if content:
+                rows.append((0, 1, row if content == 1 else [x // content for x in row]))
         rank = 0
         prev = 1
-        c = 0
-        while rows and c < len(rows[0]):
-            k = next((j for j, r in enumerate(rows) if r[c]), None)
-            if k is None:
-                c += 1
+        for c in range(n):
+            for k, (start, _, r) in enumerate(rows):
+                if r[c - start]:
+                    break
+            else:
+                if not rows:
+                    break
                 continue
-            pivot_row = rows.pop(k)
-            p = pivot_row[c]
-            tail = pivot_row[c + 1 :]
-            reduced = []
-            for r in rows:
-                a = r[c]
-                new = [(p * x - a * y) // prev for x, y in zip(r[c + 1 :], tail)]
+            start, last, pivot_row = rows.pop(k)
+            p, tail = pivot_row[c - start], pivot_row[c + 1 - start :]
+            if last != prev:
+                p, tail = p * prev // last, [x * prev // last for x in tail]
+            kept = []
+            for row in rows:
+                start, last, r = row
+                a = r[c - start]
+                if not a:
+                    kept.append(row)
+                    continue
+                r = r[c + 1 - start :]
+                if last != prev:
+                    a, r = a * prev // last, [x * prev // last for x in r]
+                new = [(p * x - a * y) // prev for x, y in zip(r, tail)]
                 if any(new):
-                    reduced.append(new)
-            rows = reduced
+                    kept.append((c + 1, p, new))
+            rows = kept
             prev = p
             rank += 1
-            c = 0
         return rank
 
     def kernel_basis(self) -> "RationalMatrix":
@@ -272,15 +340,13 @@ class RationalMatrix:
 
 def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Block-diagonal assembly; degenerate (zero-dimension) blocks collapse."""
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    out: list[Fraction] = []
-    for i in range(rows):
-        for j in range(cols):
-            if i < a.rows and j < a.cols:
-                out.append(a[i, j])
-            elif i >= a.rows and j >= a.cols:
-                out.append(b[i - a.rows, j - a.cols])
-            else:
-                out.append(Fraction(0))
-    return RationalMatrix(rows, cols, out)
+    den = lcm(a.denominator, b.denominator)
+    na, nb = a.over(den), b.over(den)
+    out: list[int] = []
+    for i in range(a.rows):
+        out += na[i * a.cols : (i + 1) * a.cols]
+        out += [0] * b.cols
+    for i in range(b.rows):
+        out += [0] * a.cols
+        out += nb[i * b.cols : (i + 1) * b.cols]
+    return RationalMatrix._raw(a.rows + b.rows, a.cols + b.cols, tuple(out), den)

@@ -78,6 +78,17 @@ def elementary_block(v, w, p):
     return grid
 
 
+def random_sphere_rep(rng, pool=(0, 1, -2, "1/2", "-3/4"), degrees=range(-1, 3), most=2):
+    """Sphere representation with up to `most` basis vectors per degree and z drawn from pool."""
+    space = GradedVectorSpace({d: rng.randint(0, most) for d in degrees})
+    blocks = {}
+    for i in space.degrees():
+        r, c = space.dim(i - 1), space.dim(i)
+        if r:
+            blocks[i] = RationalMatrix(r, c, [rng.choice(pool) for _ in range(r * c)])
+    return Representation(sphere_quiver(), space, {"z": GradedMap(space, space, -1, blocks)})
+
+
 def torus_rep(dims, alpha, beta, gamma=None):
     space = GradedVectorSpace(dims)
     mk = lambda d, blocks: GradedMap(
@@ -123,6 +134,25 @@ class TestPresentations:
             QuiverPresentation(
                 (Generator("x", 0),), (("x", ((1, ("x", "x")),)),)
             )
+
+    @pytest.mark.parametrize(
+        "generators, relations",
+        [
+            (((1, 0, False),), ()),
+            ((("x", True, False),), ()),
+            ((("x", "0", False),), ()),
+            ((("x", 0, 1),), ()),
+            ((("x", -1, False),), ((1, ()),)),
+            ((("x", -1, False),), (("x", (("1", ("x", "x")),)),)),
+            ((("x", -1, False),), (("x", ((True, ("x", "x")),)),)),
+            ((("x", -1, False),), (("x", ((1, ("x", 1)),)),)),
+        ],
+        ids=["name", "bool degree", "str degree", "invertible", "relation generator",
+             "str coefficient", "bool coefficient", "word letter"],
+    )
+    def test_fields_are_not_coerced(self, generators, relations):
+        with pytest.raises(FormatError):
+            QuiverPresentation(generators, relations)
 
     def test_long_words_rejected(self):
         with pytest.raises(FormatError):
@@ -327,19 +357,6 @@ class TestFloer:
         """Metamorphic: HF(v+v', w) = HF(v, w) + HF(v', w) in every degree."""
         rng = random.Random(23)
 
-        def random_sphere_rep():
-            space = GradedVectorSpace({d: rng.randint(0, 2) for d in range(-1, 3)})
-            blocks = {}
-            for i in space.degrees():
-                r, c = space.dim(i - 1), space.dim(i)
-                if r:
-                    blocks[i] = RationalMatrix(
-                        r, c, [rng.choice((0, 1, -2, "1/2", "-3/4")) for _ in range(r * c)]
-                    )
-            return Representation(
-                sphere_quiver(), space, {"z": GradedMap(space, space, -1, blocks)}
-            )
-
         def direct_sum(a, b):
             space = a.space.direct_sum(b.space)
             za, zb = a.maps["z"], b.maps["z"]
@@ -349,11 +366,32 @@ class TestFloer:
             return Representation(sphere_quiver(), space, {"z": z})
 
         for _ in range(12):
-            v, v2, w = random_sphere_rep(), random_sphere_rep(), random_sphere_rep()
+            v, v2, w = (random_sphere_rep(rng) for _ in range(3))
             total = floer_cohomology(direct_sum(v, v2), w)
             hv, hv2 = floer_cohomology(v, w), floer_cohomology(v2, w)
             for n in set(total.dims) | set(hv.dims) | set(hv2.dims):
                 assert total.dim(n) == hv.dim(n) + hv2.dim(n)
+
+    def test_cross_pair_duality(self):
+        """2-Calabi-Yau duality across pairs: HF^d(V, W) = HF^{2-d}(W, V) in every degree.
+
+        Sampled pairs have integer entries; the drawn pairs also have entries
+        with denominators.  Neither side of the identity is read off the
+        other, so a wrong entry in the assembled differential shows here.
+        """
+        pairs = []
+        for seed in (1, 2):
+            cfg = SampleConfig(seed=seed, count=50, max_total_dim=6)
+            reps = [sample_representation_at(sphere_quiver(), cfg, k) for k in range(50)]
+            pairs += zip(reps[::2], reps[1::2])
+        rng = random.Random(31)
+        pool = (0, 0, 1, -1, 2, "1/2", "-3/4", "5/3", "-7/6")
+        for _ in range(50):
+            pairs.append(tuple(random_sphere_rep(rng, pool, range(-2, 3), 3) for _ in range(2)))
+        for v, w in pairs:
+            vw, wv = floer_cohomology(v, w), floer_cohomology(w, v)
+            for d in set(vw.dims) | {2 - e for e in wv.dims}:
+                assert vw.dim(d) == wv.dim(2 - d), (v, w, d)
 
     def test_torus_unsupported(self):
         tt = torus_trivial_representation()

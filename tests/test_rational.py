@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -299,3 +300,137 @@ def test_bad_entry_count():
 def test_ragged_rows_rejected():
     with pytest.raises(ShapeError):
         RationalMatrix.from_rows([[1, 2], [3]])
+
+
+# -- storage oracle: every operation against plain Fraction lists ----------
+
+_SMALL = [0, 0, 1, -1, 2, -3, "1/2", "-2/3", "5/7", "7/6", "-9/4"]
+_HUGE = [0, 10**30 + 1, -(10**30), f"{10**30 + 3}/7", f"-{10**30}/{10**30 + 1}", "3/5"]
+
+
+def ref_matrix(rng, rows, cols, pool):
+    """(matrix, reference): the same entries as a RationalMatrix and as a Fraction list."""
+    ref = [Fraction(rng.choice(pool)) for _ in range(rows * cols)]
+    return RationalMatrix(rows, cols, [str(x) for x in ref]), ref
+
+
+def ref_product(a, b, m, k, n):
+    return [sum((a[i * k + t] * b[t * n + j] for t in range(k)), Fraction(0))
+            for i in range(m) for j in range(n)]
+
+
+def ref_transpose(a, m, n):
+    return [a[i * n + j] for j in range(n) for i in range(m)]
+
+
+def ref_block_diag(a, ar, ac, b, br, bc):
+    zero = Fraction(0)
+    return [a[i * ac + j] if i < ar and j < ac
+            else b[(i - ar) * bc + j - ac] if i >= ar and j >= ac else zero
+            for i in range(ar + br) for j in range(ac + bc)]
+
+
+def ref_rank(a, m, n):
+    rows = [a[i * n : (i + 1) * n] for i in range(m)]
+    rank = 0
+    for c in range(n):
+        piv = next((i for i in range(rank, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, m):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_matches(got, rows, cols, ref):
+    """Same shape and entries as the reference, stored canonically."""
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.entries() == tuple(ref)
+    assert all(type(x) is Fraction for x in got.entries())
+    assert got.denominator > 0
+    assert gcd(got.denominator, *got.numerators) == 1
+    assert got.is_zero() == (not any(ref))
+
+
+def storage_cases(seed, count=150):
+    """Seeded shapes: 0xn, nx0, 0x0, 1x1 and random up to 6x6, small "p/q" or ~10**30 entries."""
+    rng = random.Random(seed)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 0), (0, 3)]
+    shapes += [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(count)]
+    for r, c in shapes:
+        yield rng, r, c, rng.choice((_SMALL, _SMALL, _HUGE))
+
+
+class TestStorageOracle:
+    def test_elementwise_operations(self):
+        for rng, r, c, pool in storage_cases(seed=51):
+            a, ra = ref_matrix(rng, r, c, pool)
+            b, rb = ref_matrix(rng, r, c, pool)
+            assert_matches(a, r, c, ra)
+            assert_matches(a + b, r, c, [x + y for x, y in zip(ra, rb)])
+            assert_matches(a - b, r, c, [x - y for x, y in zip(ra, rb)])
+            assert_matches(a - a, r, c, [Fraction(0)] * (r * c))
+            assert_matches(-a, r, c, [-x for x in ra])
+            s = Fraction(rng.choice(pool))
+            assert_matches(a.scale(s), r, c, [s * x for x in ra])
+            assert_matches(a.transpose(), c, r, ref_transpose(ra, r, c))
+            assert a.rank() == ref_rank(ra, r, c)
+
+    def test_product_and_block_diag(self):
+        for rng, m, k, pool in storage_cases(seed=52):
+            n = rng.randint(0, 6)
+            a, ra = ref_matrix(rng, m, k, pool)
+            b, rb = ref_matrix(rng, k, n, pool)
+            assert_matches(a @ b, m, n, ref_product(ra, rb, m, k, n))
+            assert_matches(block_diag(a, b), m + k, k + n, ref_block_diag(ra, m, k, rb, k, n))
+
+    def test_equality_and_hash_follow_the_entries(self):
+        for rng, r, c, pool in storage_cases(seed=53):
+            a, ra = ref_matrix(rng, r, c, pool)
+            # the same entries reached through different denominators
+            s = Fraction(rng.choice((3, -5, "2/9", "-7/4")))
+            same = a.scale(s).scale(1 / s)
+            assert same == a and hash(same) == hash(a)
+            assert RationalMatrix(r, c, ra) == a
+            b, rb = ref_matrix(rng, r, c, pool)
+            assert (a == b) == (ra == rb)
+            assert (a == a.transpose()) == ((r, c) == (c, r) and ra == ref_transpose(ra, r, c))
+
+
+class TestCanonicalForm:
+    def test_scaled_halves_equal_integers(self):
+        a = RationalMatrix(1, 2, ["1/2", "3/2"]).scale(2)
+        b = RationalMatrix(1, 2, [1, 3])
+        assert a == b and hash(a) == hash(b)
+        assert (a.numerators, a.denominator) == ((1, 3), 1)
+
+    def test_sum_with_negation_is_zero(self):
+        a = RationalMatrix(2, 2, ["1/3", "-5/6", 7, 1])
+        z = a + (-a)
+        assert z == RationalMatrix.zero(2, 2) and hash(z) == hash(RationalMatrix.zero(2, 2))
+        assert (z.numerators, z.denominator) == ((0,) * 4, 1)
+
+    def test_readers_return_fractions(self):
+        a = RationalMatrix(2, 2, ["1/2", 3, 0, "-4/6"])
+        assert a[1, 1] == Fraction(-2, 3) and type(a[0, 1]) is Fraction
+        assert a.row(0) == (Fraction(1, 2), Fraction(3))
+        assert all(type(x) is Fraction for x in a.row(1))
+        assert a.entries() == (Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-2, 3))
+        assert a.to_lists() == [[Fraction(1, 2), 3], [0, Fraction(-2, 3)]]
+
+    def test_from_numerators_reduces(self):
+        a = RationalMatrix.from_numerators(1, 3, [4, -6, 0], 8)
+        assert (a.numerators, a.denominator) == ((2, -3, 0), 4)
+        assert RationalMatrix.from_numerators(2, 1, [0, 0], 9) == RationalMatrix.zero(2, 1)
+        for args in [(1, 1, [1], 0), (1, 1, [1], -2), (1, 2, [1], 1)]:
+            with pytest.raises(ShapeError):
+                RationalMatrix.from_numerators(*args)
+
+    def test_over_a_common_denominator(self):
+        a = RationalMatrix(1, 2, ["1/2", "1/3"])
+        assert a.over(6) == (3, 2) and a.over(12) == (6, 4)
+        with pytest.raises(ShapeError):
+            a.over(4)
