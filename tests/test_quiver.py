@@ -135,6 +135,8 @@ class TestPresentations:
                 (Generator("x", 0),), (("x", ((1, ("x", "x")),)),)
             )
 
+    # Each case would be a valid presentation if the one bad field were
+    # converted with str(), int() or bool().
     @pytest.mark.parametrize(
         "generators, relations",
         [
@@ -142,10 +144,10 @@ class TestPresentations:
             ((("x", True, False),), ()),
             ((("x", "0", False),), ()),
             ((("x", 0, 1),), ()),
-            ((("x", -1, False),), ((1, ()),)),
-            ((("x", -1, False),), (("x", (("1", ("x", "x")),)),)),
-            ((("x", -1, False),), (("x", ((True, ("x", "x")),)),)),
-            ((("x", -1, False),), (("x", ((1, ("x", 1)),)),)),
+            ((("1", -1, False), ("a", 0, False)), ((1, ((1, ("a",)),)),)),
+            ((("x", -1, False), ("a", 0, False)), (("x", (("1", ("a",)),)),)),
+            ((("x", -1, False), ("a", 0, False)), (("x", ((True, ("a",)),)),)),
+            ((("x", -1, False), ("0", 0, False)), (("x", ((1, (0,)),)),)),
         ],
         ids=["name", "bool degree", "str degree", "invertible", "relation generator",
              "str coefficient", "bool coefficient", "word letter"],
