@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .complexes import CochainComplex, CohomologyResult
-from .errors import CellComplexError, ClassificationError, FormatError, InvalidComplexError
+from .errors import (
+    CellComplexError,
+    ClassificationError,
+    FormatError,
+    InvalidComplexError,
+    require_type,
+)
 from .graded import GradedMap, GradedVectorSpace
 from .rational import RationalMatrix
 
@@ -52,7 +58,9 @@ class CellComplex:
 
     Pairs not listed have coefficient 0.  Construction checks structural
     sanity only; whether the induced boundary squares to zero is checked
-    when the chain complex is built.
+    when the chain complex is built.  Cell ids and incidence ends must be
+    strs, dimensions and coefficients ints (a bool is not one): anything
+    else raises FormatError rather than being converted.
     """
 
     __slots__ = ("cells", "incidence")
@@ -61,7 +69,12 @@ class CellComplex:
         cell_list: List[Cell] = []
         for c in cells:
             if not isinstance(c, Cell):
-                c = Cell(str(c[0]), int(c[1]))
+                c = Cell(c[0], c[1])
+            # Exact types pass at the cost of two type() calls; otherwise
+            # require_type accepts subclasses or names the bad field.
+            if type(c.id) is not str or type(c.dim) is not int:
+                require_type(c.id, str, "cell id")
+                require_type(c.dim, int, f"dimension of cell {c.id!r}")
             if c.dim < 0:
                 raise CellComplexError(f"cell {c.id!r} has negative dimension")
             cell_list.append(c)
@@ -74,7 +87,11 @@ class CellComplex:
         seen = set()
         for e in incidence:
             if not isinstance(e, Incidence):
-                e = Incidence(str(e[0]), str(e[1]), int(e[2]))
+                e = Incidence(e[0], e[1], e[2])
+            if type(e.frm) is not str or type(e.to) is not str or type(e.coeff) is not int:
+                require_type(e.frm, str, "incidence 'from'")
+                require_type(e.to, str, "incidence 'to'")
+                require_type(e.coeff, int, f"coefficient of incidence {e.frm!r}->{e.to!r}")
             for ref in (e.frm, e.to):
                 if ref not in by_id:
                     raise CellComplexError(f"incidence references unknown cell {ref!r}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
@@ -31,13 +30,13 @@ from .quiver import (
     sphere_quiver,
     torus_quiver,
 )
-from .rational import RationalMatrix
+from .rational import RationalMatrix, Scalar
 
 _MASK64 = (1 << 64) - 1
 
 # Samples lie in degrees -3..3 and draw their entries from this pool.
 _DEGREE_BAND = (-3, 3)
-_SCALAR_POOL = tuple(Fraction(x) for x in (-2, -1, 0, 1, 2))
+_SCALAR_POOL = (-2, -1, 0, 1, 2)
 _NONZERO_POOL = tuple(x for x in _SCALAR_POOL if x)
 
 
@@ -106,7 +105,8 @@ def _sample_space(rng: random.Random, cfg: SampleConfig) -> GradedVectorSpace:
 
 
 def _sample_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
-    return RationalMatrix(rows, cols, [rng.choice(_SCALAR_POOL) for _ in range(rows * cols)])
+    nums = [rng.choice(_SCALAR_POOL) for _ in range(rows * cols)]
+    return RationalMatrix.from_numerators(rows, cols, nums, 1)
 
 
 def _sample_invertible(rng: random.Random, n: int) -> RationalMatrix:
@@ -156,16 +156,7 @@ def sample_representation_at(
                 b = _diagonal(rng, d)
             else:
                 a = _sample_invertible(rng, d)
-                b = None
-                ident = RationalMatrix.identity(d)
-                for _ in range(64):
-                    c0, c1, c2 = (rng.choice(_SCALAR_POOL) for _ in range(3))
-                    cand = ident.scale(c0) + a.scale(c1) + (a @ a).scale(c2)
-                    if cand.is_invertible():
-                        b = cand
-                        break
-                if b is None:
-                    b = a
+                b = _sample_polynomial_in(rng, a)
             alpha_blocks[i] = a
             beta_blocks[i] = b
         gamma = _sample_degree_map(rng, space, -1)
@@ -183,11 +174,30 @@ def sample_representation_at(
     )
 
 
+def _sample_polynomial_in(rng: random.Random, a: RationalMatrix) -> RationalMatrix:
+    """First invertible c0·I + c1·a + c2·a² of up to 64 draws, else a itself.
+
+    The three terms are written over the denominator of a² once; each
+    candidate is then one integer combination of their numerators.
+    """
+    n = a.rows
+    den = a.denominator
+    square = a @ a
+    ident = [den * den if i == j else 0 for i in range(n) for j in range(n)]
+    linear = a.over(den * den)
+    quadratic = square.over(den * den)
+    for _ in range(64):
+        c0, c1, c2 = (rng.choice(_SCALAR_POOL) for _ in range(3))
+        nums = [c0 * x + c1 * y + c2 * z for x, y, z in zip(ident, linear, quadratic)]
+        cand = RationalMatrix.from_numerators(n, n, nums, den * den)
+        if cand.is_invertible():
+            return cand
+    return a
+
+
 def _diagonal(rng: random.Random, n: int) -> RationalMatrix:
-    entries = [
-        rng.choice(_NONZERO_POOL) if i == j else 0 for i in range(n) for j in range(n)
-    ]
-    return RationalMatrix(n, n, entries)
+    nums = [rng.choice(_NONZERO_POOL) if i == j else 0 for i in range(n) for j in range(n)]
+    return RationalMatrix.from_numerators(n, n, nums, 1)
 
 
 def sample_representations(
@@ -215,7 +225,7 @@ def enumerate_spaces(
 
 
 def enumerate_matrices(
-    rows: int, cols: int, pool: Tuple[Fraction, ...]
+    rows: int, cols: int, pool: Tuple[Scalar, ...]
 ) -> Iterator[RationalMatrix]:
     for entries in itertools.product(pool, repeat=rows * cols):
         yield RationalMatrix(rows, cols, entries)
@@ -223,12 +233,24 @@ def enumerate_matrices(
 
 @lru_cache(maxsize=None)
 def commuting_invertible_pairs(
-    dim: int, pool: Tuple[Fraction, ...]
+    dim: int, pool: Tuple[Scalar, ...]
 ) -> Tuple[Tuple[RationalMatrix, RationalMatrix], ...]:
+    """Every ordered pair (a, b) of invertible dim x dim matrices over pool
+    with ab = ba, in the order of enumerate_matrices for a, then for b.
+
+    Commuting is symmetric, so each unordered pair is multiplied once.
+    """
     invertible = [m for m in enumerate_matrices(dim, dim, pool) if m.is_invertible()]
-    return tuple(
-        (a, b) for a in invertible for b in invertible if a @ b == b @ a
-    )
+    # partners[i] lists, ascending, the j whose matrix commutes with matrix i.
+    partners: List[List[int]] = [[] for _ in invertible]
+    for i, a in enumerate(invertible):
+        partners[i].append(i)
+        for j in range(i + 1, len(invertible)):
+            b = invertible[j]
+            if a @ b == b @ a:
+                partners[i].append(j)
+                partners[j].append(i)
+    return tuple((a, invertible[j]) for a, row in zip(invertible, partners) for j in row)
 
 
 def _degree_map_slots(
@@ -244,7 +266,7 @@ def _degree_map_slots(
 def enumerate_sphere_representations() -> Iterator[Representation]:
     """Every sphere-quiver representation of total dimension 1..2 in
     degrees -2..2 with z-entries in {-1, 0, 1}: 28 of them."""
-    pool = tuple(Fraction(x) for x in (-1, 0, 1))
+    pool = (-1, 0, 1)
     quiver = sphere_quiver()
     for space in enumerate_spaces(2, (-2, 2)):
         slots = _degree_map_slots(space, -1)
@@ -260,7 +282,7 @@ def enumerate_sphere_representations() -> Iterator[Representation]:
 def enumerate_torus_representations() -> Iterator[Representation]:
     """Every valid torus-quiver representation of total dimension 1..2 in
     degrees -1..1 with entries in {-1, 1, 2}."""
-    pool = tuple(Fraction(x) for x in (-1, 1, 2))
+    pool = (-1, 1, 2)
     quiver = torus_quiver()
     for space in enumerate_spaces(2, (-1, 1)):
         degrees = space.degrees()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field-type check that raises one."""
 
 
 class ExactHomError(Exception):
@@ -31,3 +31,10 @@ class ClassificationError(ExactHomError):
 
 class FormatError(ExactHomError):
     """Malformed input file or unknown builtin name."""
+
+
+def require_type(value, kind: type, what: str):
+    """value itself if it is a kind, else FormatError; a bool is not an int."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise FormatError(f"{what} must be of type {kind.__name__}, got {value!r}")

@@ -16,14 +16,19 @@ from .rational import RationalMatrix
 
 
 class GradedVectorSpace:
-    """Finite-dimensional integer-graded vector space, dimensions only."""
+    """Finite-dimensional integer-graded vector space, dimensions only.
+
+    Degrees and dimensions must be plain ints; anything else, a bool
+    included, is refused with ShapeError rather than converted.
+    """
 
     __slots__ = ("_dims",)
 
     def __init__(self, dims: Mapping[int, int]):
         clean: Dict[int, int] = {}
         for k, v in dims.items():
-            k, v = int(k), int(v)
+            if type(k) is not int or type(v) is not int:  # refuses bool, float, str
+                raise ShapeError(f"degree {k!r} and dimension {v!r} must both be ints")
             if v < 0:
                 raise ShapeError(f"negative dimension {v} in degree {k}")
             if v > 0:

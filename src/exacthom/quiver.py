@@ -5,7 +5,10 @@ and the differential of each generator as a formal integer combination of
 words of length at most 2 (all the built-in categories need).  A
 representation assigns a graded vector space with zero differential and
 one graded map per generator; validity means the degree, relation, and
-invertibility constraints all hold.
+invertibility constraints all hold.  A relation is checked one source
+degree at a time, on the stored blocks: each word's block is a product of
+the letters' blocks, and the terms are summed as int numerators over one
+denominator.
 
 The morphism complex of two representations is one unshifted copy of the
 graded hom space plus one copy shifted by |x|-1 per generator x.  Its
@@ -23,7 +26,12 @@ from math import lcm
 from typing import Dict, Mapping, Optional, Tuple
 
 from .complexes import CochainComplex, CohomologyResult
-from .errors import FormatError, RepresentationError, UnsupportedDifferentialError
+from .errors import (
+    FormatError,
+    RepresentationError,
+    UnsupportedDifferentialError,
+    require_type,
+)
 from .graded import GradedMap, GradedVectorSpace, hom_block_layout, hom_space
 # Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
 from .graded import hom_basis, hom_coordinates  # noqa: F401
@@ -31,13 +39,6 @@ from .rational import RationalMatrix
 
 Word = Tuple[str, ...]
 Term = Tuple[int, Word]
-
-
-def _require(value, kind: type, what: str):
-    """value itself if it is a kind, else FormatError; a bool is not an int."""
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise FormatError(f"{what} must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ class QuiverPresentation:
     def __post_init__(self):
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in self.generators)
         for g in gens:
-            _require(g.name, str, "generator name")
-            _require(g.degree, int, f"degree of generator {g.name!r}")
-            _require(g.invertible, bool, f"invertible flag of generator {g.name!r}")
+            require_type(g.name, str, "generator name")
+            require_type(g.degree, int, f"degree of generator {g.name!r}")
+            require_type(g.invertible, bool, f"invertible flag of generator {g.name!r}")
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise FormatError("generator names must be unique")
@@ -72,7 +73,7 @@ class QuiverPresentation:
         rels = []
         seen = set()
         for name, terms in self.relations:
-            _require(name, str, "relation generator")
+            require_type(name, str, "relation generator")
             if name not in degree_of:
                 raise FormatError(f"relation for unknown generator {name!r}")
             if name in seen:
@@ -80,10 +81,10 @@ class QuiverPresentation:
             seen.add(name)
             clean: list = []
             for coeff, word in terms:
-                _require(coeff, int, f"relation coefficient for {name!r}")
+                require_type(coeff, int, f"relation coefficient for {name!r}")
                 if coeff == 0:
                     continue
-                word = tuple(_require(x, str, "word letter") for x in word)
+                word = tuple(require_type(x, str, "word letter") for x in word)
                 if not 1 <= len(word) <= 2:
                     raise FormatError("relation words must have length 1 or 2")
                 for x in word:
@@ -168,26 +169,37 @@ class Representation:
                 out[g.name] = GradedMap.zero(self.space, self.space, g.degree)
         object.__setattr__(self, "maps", out)
 
-    def evaluate_word(self, word: Word) -> GradedMap:
-        m = self.maps[word[0]]
-        for name in word[1:]:
-            m = m @ self.maps[name]
-        return m
-
     def first_violation(self) -> Optional[str]:
-        """Name of the first failed constraint, or None if valid."""
+        """Name of the first failed constraint, or None if valid.
+
+        Checks every generator's degree, then each relation in order, then
+        the invertibility of every block of every invertible generator.  A
+        relation is checked one source degree i at a time: each word's block
+        at i is the product of its letters' blocks, a letter without a block
+        there making the term zero, and the terms' numerators are summed
+        over the lcm of their denominators.
+        """
         for g in self.quiver.generators:
             if self.maps[g.name].degree != g.degree:
                 return f"degree:{g.name}"
+        blocks = {name: m.blocks() for name, m in self.maps.items()}
+        degree_of = {g.name: g.degree for g in self.quiver.generators}
         for name, terms in self.quiver.relations:
-            if not terms:
-                continue
-            acc = None
-            for coeff, word in terms:
-                m = self.evaluate_word(word).scale(coeff)
-                acc = m if acc is None else acc + m
-            if acc is not None and not acc.is_zero():
-                return f"relation:{name}"
+            for i in self.space.degrees():
+                products = [
+                    (coeff, p)
+                    for coeff, word in terms
+                    if (p := _word_block(blocks, degree_of, word, i)) is not None
+                ]
+                if not products:
+                    continue
+                den = lcm(*[p.denominator for _, p in products])
+                scaled = [
+                    [coeff * (den // p.denominator) * x for x in p.numerators]
+                    for coeff, p in products
+                ]
+                if any(map(sum, zip(*scaled))):
+                    return f"relation:{name}"
         for g in self.quiver.generators:
             if not g.invertible:
                 continue
@@ -196,6 +208,24 @@ class Representation:
                 if not rho.block(i).is_invertible():
                     return f"invertibility:{g.name}"
         return None
+
+
+def _word_block(
+    blocks: Mapping[str, Mapping[int, RationalMatrix]],
+    degree_of: Mapping[str, int],
+    word: Word,
+    i: int,
+) -> Optional[RationalMatrix]:
+    """Block at source degree i of the composite of word, last letter applied
+    first; None where a letter has no block, that is, where the composite is 0."""
+    prod = None
+    for x in reversed(word):
+        b = blocks[x].get(i)
+        if b is None:
+            return None
+        prod = b if prod is None else b @ prod
+        i += degree_of[x]
+    return prod
 
 
 def _require_valid_pair(v: Representation, w: Representation) -> None:
@@ -226,13 +256,13 @@ def _hom_summands(
     v: Representation, w: Representation
 ) -> Tuple[GradedVectorSpace, Tuple[Tuple[str, int], ...], GradedVectorSpace]:
     u = hom_space(v.space, w.space)
-    layout = [("id", 0)]
-    total = u
-    for g in v.quiver.generators:
-        shift = g.degree - 1
-        layout.append((g.name, shift))
-        total = total.direct_sum(u.shift(shift))
-    return u, tuple(layout), total
+    layout = (("id", 0),) + tuple((g.name, g.degree - 1) for g in v.quiver.generators)
+    u_dims = u.dims
+    dims: Dict[int, int] = {}
+    for _, shift in layout:
+        for d, n in u_dims.items():
+            dims[d - shift] = dims.get(d - shift, 0) + n
+    return u, layout, GradedVectorSpace(dims)
 
 
 _NO_BLOCK = (0, 0, ())
@@ -263,6 +293,8 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
         return {i: (b.rows, b.cols, b.over(den)) for i, b in blocks.items()}
 
     gens = [(e, over_den(wb), over_den(vb)) for e, wb, vb in maps]
+    # The basis of hom^d is empty exactly where u has no dimension.
+    basis = {d: hom_block_layout(v.space, w.space, d) for d in u.degrees()}
     blocks: Dict[int, RationalMatrix] = {}
     for p in total.degrees():
         rows_dim = total.dim(p + 1)
@@ -272,9 +304,9 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
         out = [0] * (rows_dim * cols_dim)
         off = u.dim(p + 1)
         for e, w_blocks, v_blocks in gens:
-            pos = {key: off + k for k, key in enumerate(hom_block_layout(v.space, w.space, p + e))}
+            pos = {key: off + k for k, key in enumerate(basis.get(p + e, ()))}
             sign = -1 if (p * e) % 2 else 1
-            for col, (i, r, c) in enumerate(hom_block_layout(v.space, w.space, p)):
+            for col, (i, r, c) in enumerate(basis.get(p, ())):
                 g_rows, g_cols, g = w_blocks.get(i + p, _NO_BLOCK)
                 _, f_cols, f = v_blocks.get(i - e, _NO_BLOCK)
                 for a in range(g_rows):

@@ -198,6 +198,8 @@ class RationalMatrix:
         denominators, reduced once.  Each nonzero left entry (i, t) is
         multiplied only into the nonzero entries of right row t: one
         multiply-add per pair of nonzero factors, not rows * inner * cols.
+        The nonzeros of right row t are listed the first time a nonzero
+        left entry needs them, so rows the left factor never uses cost nothing.
         """
         if self.cols != other.rows:
             raise ShapeError(
@@ -207,16 +209,18 @@ class RationalMatrix:
         out = [0] * (m * n)
         if m and k and n:
             right = other.numerators
-            right_rows = [
-                [(j, y) for j, y in enumerate(right[t * n : (t + 1) * n]) if y]
-                for t in range(k)
-            ]
+            right_rows: list = [None] * k
             left = self.numerators
             for i in range(m):
                 base = i * n
                 for t, x in enumerate(left[i * k : (i + 1) * k]):
                     if x:
-                        for j, y in right_rows[t]:
+                        row = right_rows[t]
+                        if row is None:
+                            row = right_rows[t] = [
+                                (j, y) for j, y in enumerate(right[t * n : (t + 1) * n]) if y
+                            ]
+                        for j, y in row:
                             out[base + j] += x * y
         return RationalMatrix.from_numerators(m, n, out, self.denominator * other.denominator)
 

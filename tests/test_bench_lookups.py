@@ -22,9 +22,12 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spans
 from exacthom import cli
 tracer = spans.install()
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(["floer", "builtin:zero_section", "builtin:zero_section"])
-print(json.dumps({"code": code, "out": out.getvalue(), "metrics": tracer.metrics()}))
+runs = []
+for argv in (["floer", "builtin:zero_section", "builtin:zero_section"],
+             ["verify", "torus", "--seed", "1", "--count", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append({"code": cli.main(argv), "out": out.getvalue()})
+print(json.dumps({"runs": runs, "metrics": tracer.metrics()}))
 """
 
 
@@ -36,6 +39,12 @@ def test_tracer_installs_and_counts_one_hom_complex():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["code"] == 0
-    assert result["out"] == "HF0=1 HF1=0 HF2=1 chi=2\n"
-    assert result["metrics"]["quiver.hom_complex.calls"] == 1
+    floer, torus = result["runs"]
+    assert floer == {"code": 0, "out": "HF0=1 HF1=0 HF2=1 chi=2\n"}
+    assert torus["code"] == 0
+    metrics = result["metrics"]
+    assert metrics["quiver.hom_complex.calls"] == 1
+    # The torus sweep validates, samples and takes Euler numbers through
+    # the names the tracer patches.
+    for name in ("quiver.first_violation.calls", "quiver.euler_of_hom.calls", "classify.sample.calls"):
+        assert metrics[name] > 0, name

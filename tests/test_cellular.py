@@ -3,6 +3,7 @@ import pytest
 from exacthom.cellular import (
     Cell,
     CellComplex,
+    Incidence,
     SurfaceVerdict,
     builtin,
     chain_complex_of,
@@ -192,3 +193,24 @@ class TestStructuralErrors:
     def test_negative_dimension(self):
         with pytest.raises(CellComplexError):
             CellComplex([Cell("a", -1)])
+
+    # Each case would be a valid complex if the one bad field were converted
+    # with str() or int().
+    @pytest.mark.parametrize(
+        "cells, incidence",
+        [
+            ([(1, 0)], []),
+            ([Cell(None, 0)], []),
+            ([("a", True)], []),
+            ([("a", "0")], []),
+            ([("a", 0), ("e", 1)], [(1, "a", 1)]),
+            ([("a", 0), ("e", 1)], [("e", None, 1)]),
+            ([("a", 0), ("e", 1)], [("e", "a", "1")]),
+            ([("a", 0), ("e", 1)], [Incidence("e", "a", True)]),
+        ],
+        ids=["int id", "None id", "bool dim", "str dim", "int from", "None to",
+             "str coeff", "bool coeff"],
+    )
+    def test_fields_are_not_coerced(self, cells, incidence):
+        with pytest.raises(FormatError):
+            CellComplex(cells, incidence)

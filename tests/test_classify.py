@@ -10,6 +10,7 @@ from exacthom.classify import (
     check_sphere_theorem,
     check_torus_theorem,
     commuting_invertible_pairs,
+    enumerate_matrices,
     enumerate_spaces,
     enumerate_sphere_representations,
     enumerate_torus_representations,
@@ -118,6 +119,13 @@ class TestEnumeration:
     def test_commuting_pairs_dim1(self):
         pairs = commuting_invertible_pairs(1, (Fraction(-1), Fraction(1), Fraction(2)))
         assert len(pairs) == 9
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("pool", [(-1, 1, 2), (-1, 0, 1)])
+    def test_commuting_pairs_equal_all_ordered_pairs(self, dim, pool):
+        invertible = [m for m in enumerate_matrices(dim, dim, pool) if m.is_invertible()]
+        naive = tuple((a, b) for a in invertible for b in invertible if a @ b == b @ a)
+        assert commuting_invertible_pairs(dim, pool) == naive
 
     def test_commuting_pairs_are_commuting(self):
         for a, b in commuting_invertible_pairs(2, (Fraction(-1), Fraction(1))):

@@ -1,15 +1,21 @@
-"""Golden CLI output: the exact stdout recorded for inputs with "p/q" entries.
+"""Golden output: exact stdout and sample streams recorded from earlier code.
 
-These strings were printed by the program before matrices stored integer
-numerators over one denominator; a change of storage or arithmetic must
-never change a printed number.
+The floer and homology strings, for inputs with "p/q" entries, were
+printed before matrices stored integer numerators over one denominator.
+The two sweep outputs at benchmark sizes and the sample-stream digests
+were recorded before the sampler drew from int pools instead of Fraction
+pools.  A change of storage, arithmetic or sampling must never change a
+printed number or a sampled entry.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from exacthom.classify import SampleConfig, sample_representation_at
 from exacthom.cli import main
+from exacthom.quiver import sphere_quiver, torus_quiver
 
 REP_A = {
     "quiver": "sphere",
@@ -53,6 +59,14 @@ GOLDEN = [
         ["verify", "sphere", "--seed", "1", "--count", "50", "--max-dim", "12", "--json"],
         '{"checked": 78, "theorem": "sphere", "violations": []}\n',
     ),
+    (
+        ["verify", "torus", "--seed", "11", "--count", "1500", "--json"],
+        '{"checked": 2568, "theorem": "torus", "violations": []}\n',
+    ),
+    (
+        ["verify", "concentrated", "--seed", "23", "--count", "1000", "--max-dim", "4", "--json"],
+        '{"checked": 693, "theorem": "concentrated", "violations": []}\n',
+    ),
 ]
 
 
@@ -66,3 +80,26 @@ def test_stdout_unchanged(argv, expected, tmp_path, capsys):
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+SAMPLE_DIGESTS = {
+    "sphere": "3f2ebc87739f22dae836463badda39f7041c3c7d099f50522e7501b0a92fce4c",
+    "torus": "38c0e42e4a8fb98cb7e356c573567955082ef34d80c7e2001cdb792ef23b995f",
+}
+
+
+@pytest.mark.parametrize("name, quiver", [("sphere", sphere_quiver()), ("torus", torus_quiver())])
+def test_sample_stream_unchanged(name, quiver):
+    """sha256 over every space and block entry of seeds 1-3, indices 0-199, max-dim 4."""
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        cfg = SampleConfig(seed=seed, count=200, max_total_dim=4)
+        for index in range(200):
+            rep = sample_representation_at(quiver, cfg, index)
+            h.update(repr(sorted(rep.space.dims.items())).encode())
+            for gen in sorted(rep.maps):
+                for i, b in sorted(rep.maps[gen].blocks().items()):
+                    h.update(f"{gen}:{i}:{b.rows}x{b.cols}:".encode())
+                    h.update(" ".join(str(x) for x in b.entries()).encode())
+                    h.update(b";")
+    assert h.hexdigest() == SAMPLE_DIGESTS[name]

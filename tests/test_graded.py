@@ -33,6 +33,16 @@ class TestSpace:
         with pytest.raises(ShapeError):
             GradedVectorSpace({0: -1})
 
+    # Each would be accepted if the bad key or value were converted with int().
+    @pytest.mark.parametrize(
+        "dims",
+        [{0: 1.5}, {"2": 1}, {0: True}, {True: 1}, {1.0: 1}, {0: "1"}],
+        ids=["float dim", "str degree", "bool dim", "bool degree", "float degree", "str dim"],
+    )
+    def test_non_int_degrees_and_dims_rejected(self, dims):
+        with pytest.raises(ShapeError):
+            GradedVectorSpace(dims)
+
     def test_total_dim_and_euler(self):
         v = GradedVectorSpace({0: 1, 1: 2, 2: 1})
         assert v.total_dim() == 4

@@ -207,6 +207,112 @@ class TestValidation:
         assert rep.maps["z"].degree == -1
 
 
+def reference_first_violation(rep):
+    """first_violation through whole graded maps, as an independent oracle.
+
+    Each word is composed as GradedMaps, the terms are scaled and added, and
+    the sum is tested with is_zero; invertibility is a rank from _rank.
+    """
+    for g in rep.quiver.generators:
+        if rep.maps[g.name].degree != g.degree:
+            return f"degree:{g.name}"
+    for name, terms in rep.quiver.relations:
+        acc = None
+        for coeff, word in terms:
+            m = rep.maps[word[0]]
+            for x in word[1:]:
+                m = m @ rep.maps[x]
+            m = m.scale(coeff)
+            acc = m if acc is None else acc + m
+        if acc is not None and not acc.is_zero():
+            return f"relation:{name}"
+    for g in rep.quiver.generators:
+        if g.invertible:
+            for i in rep.space.degrees():
+                if _rank(rep.maps[g.name].block(i).to_lists()) != rep.space.dim(i):
+                    return f"invertibility:{g.name}"
+    return None
+
+
+# Degrees -1, 0 and 1, a length-1 word in each relation, and one invertible
+# generator: dc = b - ac + ca and db = a + ua - au.
+MIXED_QUIVER = QuiverPresentation(
+    (Generator("a", 1), Generator("b", 0), Generator("c", -1), Generator("u", 0, True)),
+    (
+        ("c", ((1, ("b",)), (-1, ("a", "c")), (1, ("c", "a")))),
+        ("b", ((1, ("a",)), (1, ("u", "a")), (-1, ("a", "u")))),
+    ),
+)
+
+
+def random_mixed_rep(rng):
+    """MIXED_QUIVER representation, unvalidated; each of a, b, c is zero half the time."""
+    space = GradedVectorSpace({d: rng.randint(0, 2) for d in (-1, 0, 1)})
+    pool = (0, 1, -1, "1/2")
+    maps = {}
+    for g in MIXED_QUIVER.generators:
+        if g.name != "u" and rng.random() < 0.5:
+            continue
+        blocks = {}
+        for i in space.degrees():
+            r, c = space.dim(i + g.degree), space.dim(i)
+            if r:
+                blocks[i] = RationalMatrix(r, c, [rng.choice(pool) for _ in range(r * c)])
+        maps[g.name] = GradedMap(space, space, g.degree, blocks)
+    return Representation(MIXED_QUIVER, space, maps)
+
+
+class TestFirstViolationOracle:
+    """The block-wise first_violation against reference_first_violation."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sampled_torus_reps(self, seed):
+        cfg = SampleConfig(seed=seed, count=60)
+        for index in range(60):
+            rep = sample_representation_at(torus_quiver(), cfg, index)
+            assert rep.first_violation() == reference_first_violation(rep) is None
+
+    def test_broken_torus_reps(self):
+        rng = random.Random(5)
+        cfg = SampleConfig(seed=3, count=60)
+        seen = set()
+        for index in range(60):
+            rep = sample_representation_at(torus_quiver(), cfg, index)
+            space = rep.space
+            i = rng.choice(space.degrees())
+            d = space.dim(i)
+            kind = index % 3
+            if kind == 0:  # n replaced in one degree: usually no longer commuting
+                entries = [rng.choice((0, 1, 2, "1/3")) for _ in range(d * d)]
+                name, blk = "n", RationalMatrix(d, d, entries)
+            elif kind == 1:  # m made singular in one degree
+                name, blk = "m", RationalMatrix.zero(d, d)
+            else:  # h given the degree of m
+                maps = dict(rep.maps, h=rep.maps["m"])
+                broken = Representation(torus_quiver(), space, maps)
+                assert broken.first_violation() == reference_first_violation(broken) == "degree:h"
+                continue
+            blocks = rep.maps[name].blocks()
+            blocks[i] = blk
+            maps = dict(rep.maps)
+            maps[name] = GradedMap(space, space, 0, blocks)
+            broken = Representation(torus_quiver(), space, maps)
+            got = broken.first_violation()
+            assert got == reference_first_violation(broken)
+            seen.add(got)
+        assert {"relation:h", "invertibility:m"} <= seen
+
+    def test_mixed_degree_presentation(self):
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(300):
+            rep = random_mixed_rep(rng)
+            got = rep.first_violation()
+            assert got == reference_first_violation(rep)
+            seen.add(got)
+        assert {None, "relation:c", "relation:b", "invertibility:u"} <= seen
+
+
 class TestHomComplex:
     def test_zero_section_summands(self):
         zs = zero_section_representation()
