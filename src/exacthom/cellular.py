@@ -4,13 +4,14 @@ Cells carry a dimension; incidence coefficients between an (i)-cell and an
 (i-1)-cell are input data (signed counts determined by whoever built the
 decomposition, not computed here).  Internally the boundary data becomes a
 cochain complex by placing i-cells in degree -i; results are reported back
-in geometric (lower) indices, so callers never see the sign flip.
+in geometric (lower) indices, so callers never see the sign flip.  The
+boundary blocks are written as int numerators straight from the stored dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .complexes import CochainComplex, CohomologyResult
 from .errors import (
@@ -60,57 +61,64 @@ class CellComplex:
     sanity only; whether the induced boundary squares to zero is checked
     when the chain complex is built.  Cell ids and incidence ends must be
     strs, dimensions and coefficients ints (a bool is not one): anything
-    else raises FormatError rather than being converted.
+    else raises FormatError rather than being converted.  Only the id -> dim
+    and (from, to) -> coeff dicts the checks build are kept, in input order.
     """
 
-    __slots__ = ("cells", "incidence")
+    __slots__ = ("_dim_of", "_coeff_of")
 
     def __init__(self, cells: Iterable, incidence: Iterable = ()):
-        cell_list: List[Cell] = []
+        dim_of: Dict[str, int] = {}
+        dups = set()
         for c in cells:
-            if not isinstance(c, Cell):
-                c = Cell(c[0], c[1])
+            cid, dim = (c.id, c.dim) if isinstance(c, Cell) else (c[0], c[1])
             # Exact types pass at the cost of two type() calls; otherwise
             # require_type accepts subclasses or names the bad field.
-            if type(c.id) is not str or type(c.dim) is not int:
-                require_type(c.id, str, "cell id")
-                require_type(c.dim, int, f"dimension of cell {c.id!r}")
-            if c.dim < 0:
-                raise CellComplexError(f"cell {c.id!r} has negative dimension")
-            cell_list.append(c)
-        ids = [c.id for c in cell_list]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise CellComplexError(f"duplicate cell ids: {dup}")
-        by_id = {c.id: c for c in cell_list}
-        inc_list: List[Incidence] = []
-        seen = set()
+            if type(cid) is not str or type(dim) is not int:
+                require_type(cid, str, "cell id")
+                require_type(dim, int, f"dimension of cell {cid!r}")
+            if dim < 0:
+                raise CellComplexError(f"cell {cid!r} has negative dimension")
+            if cid in dim_of:
+                dups.add(cid)
+            dim_of[cid] = dim
+        if dups:
+            raise CellComplexError(f"duplicate cell ids: {sorted(dups)}")
+        coeff_of: Dict[Tuple[str, str], int] = {}
         for e in incidence:
-            if not isinstance(e, Incidence):
-                e = Incidence(e[0], e[1], e[2])
-            if type(e.frm) is not str or type(e.to) is not str or type(e.coeff) is not int:
-                require_type(e.frm, str, "incidence 'from'")
-                require_type(e.to, str, "incidence 'to'")
-                require_type(e.coeff, int, f"coefficient of incidence {e.frm!r}->{e.to!r}")
-            for ref in (e.frm, e.to):
-                if ref not in by_id:
-                    raise CellComplexError(f"incidence references unknown cell {ref!r}")
-            if by_id[e.frm].dim != by_id[e.to].dim + 1:
+            frm, to, coeff = (e.frm, e.to, e.coeff) if isinstance(e, Incidence) else (e[0], e[1], e[2])
+            if type(frm) is not str or type(to) is not str or type(coeff) is not int:
+                require_type(frm, str, "incidence 'from'")
+                require_type(to, str, "incidence 'to'")
+                require_type(coeff, int, f"coefficient of incidence {frm!r}->{to!r}")
+            top, bottom = dim_of.get(frm), dim_of.get(to)
+            if top is None or bottom is None:
+                ref = frm if top is None else to
+                raise CellComplexError(f"incidence references unknown cell {ref!r}")
+            if top != bottom + 1:
                 raise CellComplexError(
-                    f"incidence {e.frm!r}->{e.to!r} must drop dimension by exactly 1"
+                    f"incidence {frm!r}->{to!r} must drop dimension by exactly 1"
                 )
-            if (e.frm, e.to) in seen:
-                raise CellComplexError(f"duplicate incidence pair {e.frm!r}->{e.to!r}")
-            seen.add((e.frm, e.to))
-            inc_list.append(e)
-        self.cells = tuple(cell_list)
-        self.incidence = tuple(inc_list)
+            pair = (frm, to)
+            if pair in coeff_of:
+                raise CellComplexError(f"duplicate incidence pair {frm!r}->{to!r}")
+            coeff_of[pair] = coeff
+        self._dim_of = dim_of
+        self._coeff_of = coeff_of
+
+    @property
+    def cells(self) -> Tuple[Cell, ...]:
+        return tuple(Cell(i, d) for i, d in self._dim_of.items())
+
+    @property
+    def incidence(self) -> Tuple[Incidence, ...]:
+        return tuple(Incidence(a, b, k) for (a, b), k in self._coeff_of.items())
 
     def cells_of_dim(self, d: int) -> Tuple[Cell, ...]:
-        return tuple(c for c in self.cells if c.dim == d)
+        return tuple(Cell(i, k) for i, k in self._dim_of.items() if k == d)
 
     def max_dim(self) -> int:
-        return max((c.dim for c in self.cells), default=0)
+        return max(self._dim_of.values(), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellComplex):
@@ -119,8 +127,8 @@ class CellComplex:
 
     def __repr__(self) -> str:
         counts: Dict[int, int] = {}
-        for c in self.cells:
-            counts[c.dim] = counts.get(c.dim, 0) + 1
+        for d in self._dim_of.values():
+            counts[d] = counts.get(d, 0) + 1
         return f"CellComplex(cells per dim {dict(sorted(counts.items()))})"
 
 
@@ -131,20 +139,17 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
     entry (b, a) is the coefficient of the pair a -> b.  Raises if the
     assembled boundary does not square to zero.
     """
-    coeff = {(e.frm, e.to): e.coeff for e in cc.incidence}
-    space = GradedVectorSpace(
-        {-d: len(cc.cells_of_dim(d)) for d in range(cc.max_dim() + 1)}
-    )
+    ids: List[List[str]] = [[] for _ in range(cc.max_dim() + 1)]
+    for i, d in cc._dim_of.items():
+        ids[d].append(i)
+    space = GradedVectorSpace({-d: len(of_d) for d, of_d in enumerate(ids)})
+    coeff = cc._coeff_of
     blocks: Dict[int, RationalMatrix] = {}
-    for d in range(1, cc.max_dim() + 1):
-        sources = cc.cells_of_dim(d)
-        targets = cc.cells_of_dim(d - 1)
-        if not sources or not targets:
-            continue
-        entries = [
-            coeff.get((a.id, b.id), 0) for b in targets for a in sources
-        ]
-        blocks[-d] = RationalMatrix(len(targets), len(sources), entries)
+    for d in range(1, len(ids)):
+        sources, targets = ids[d], ids[d - 1]
+        if sources and targets:
+            entries = [coeff.get((a, b), 0) for b in targets for a in sources]
+            blocks[-d] = RationalMatrix.from_numerators(len(targets), len(sources), entries, 1)
     diff = GradedMap(space, space, 1, blocks)
     try:
         return CochainComplex(space, diff)

@@ -87,7 +87,9 @@ class GradedMap:
     Stored as one matrix per source degree i, of shape
     target.dim(i+d) x source.dim(i).  Degrees where either side is zero
     carry no block; every other degree always has one (a zero matrix if
-    none was supplied), so equality is plain field comparison.
+    none was supplied), so equality is plain field comparison.  The degree
+    and the block keys must be plain ints; anything else, a bool included,
+    is refused with ShapeError rather than converted.
     """
 
     __slots__ = ("source", "target", "degree", "_blocks")
@@ -99,9 +101,11 @@ class GradedMap:
         degree: int,
         blocks: Mapping[int, RationalMatrix],
     ):
+        if type(degree) is not int:  # refuses bool, float, str
+            raise ShapeError(f"map degree {degree!r} must be an int")
         self.source = source
         self.target = target
-        self.degree = int(degree)
+        self.degree = degree
         canon: Dict[int, RationalMatrix] = {}
         for i in source.degrees():
             rows = target.dim(i + self.degree)
@@ -117,7 +121,8 @@ class GradedMap:
                 )
             canon[i] = blk
         for i, b in blocks.items():
-            i = int(i)
+            if type(i) is not int:
+                raise ShapeError(f"block degree {i!r} must be an int")
             if i in canon:
                 continue
             want_r = target.dim(i + self.degree)

@@ -7,14 +7,17 @@ Names (cell ids, incidence ends, generator names, relation generators and
 word letters) must be JSON strings; a number, boolean, null or list is
 rejected rather than turned into text.
 Parsers take decoded JSON values; load_* helpers wrap file access.
+A matrix entry is read once into an int numerator and denominator, and the
+matrix is built over the lcm of the denominators: no Fraction per entry.  A
+cell or incidence entry whose fields have the exact types passes one check.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
-from typing import Dict, Union
+from math import lcm
+from typing import Dict, List, Tuple, Union
 
 from .cellular import CellComplex
 from .complexes import CochainComplex
@@ -65,15 +68,19 @@ def _name(value, what: str) -> str:
     raise FormatError(f"{what} must be a string, got {json.dumps(value)}")
 
 
-def _scalar(value) -> Fraction:
+def _scalar(value) -> Tuple[int, int]:
+    """(p, q) with value == p/q and q > 0, not reduced."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value), 1
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value):
+            p, _, q = value.partition("/")
             try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                pass
+                p, q = int(p), int(q or 1)
+            except ValueError:  # more digits than int() converts
+                q = 0
+            if q:
+                return p, q
         raise FormatError(f"bad rational literal {value!r}")
     raise FormatError(f"matrix entries must be exact (int or 'p/q'), got {value!r}")
 
@@ -81,13 +88,23 @@ def _scalar(value) -> Fraction:
 def parse_matrix(obj) -> RationalMatrix:
     """List of rows; entries are integers or 'p/q' strings."""
     rows = _expect_list(obj, "matrix")
-    parsed = []
+    nums: List[int] = []
+    dens: Dict[int, int] = {}  # entry index -> denominator, where it is not 1
     for row in rows:
-        parsed.append([_scalar(x) for x in _expect_list(row, "matrix row")])
-    try:
-        return RationalMatrix.from_rows(parsed)
-    except ShapeError as exc:
-        raise FormatError(str(exc))
+        for x in _expect_list(row, "matrix row"):
+            if type(x) is int:
+                nums.append(x)
+            else:
+                p, q = _scalar(x)
+                if q != 1:
+                    dens[len(nums)] = q
+                nums.append(p)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise FormatError("ragged rows")
+    den = lcm(*dens.values())
+    if den != 1:
+        nums = [p * (den // dens.get(k, 1)) for k, p in enumerate(nums)]
+    return RationalMatrix.from_numerators(len(rows), len(rows[0]) if rows else 0, nums, den)
 
 
 def parse_graded_space(obj) -> GradedVectorSpace:
@@ -128,15 +145,27 @@ def parse_cell_complex(obj) -> CellComplex:
     mapping = _expect_mapping(obj, "cell complex")
     if "cells" not in mapping:
         raise FormatError("cell complex object needs a 'cells' field")
+    # An entry whose fields have the exact types is taken in one check; any
+    # other is converted ("5") or refused field by field.
     cells = []
-    for entry in _expect_list(mapping["cells"], "cells"):
-        e = _expect_mapping(entry, "cell")
+    for e in _expect_list(mapping["cells"], "cells"):
+        if type(e) is dict:
+            cid, dim = e.get("id"), e.get("dim")
+            if type(cid) is str and type(dim) is int:
+                cells.append((cid, dim))
+                continue
+        e = _expect_mapping(e, "cell")
         if "id" not in e or "dim" not in e:
             raise FormatError("each cell needs 'id' and 'dim'")
         cells.append((_name(e["id"], "cell id"), _int(e["dim"], "cell dim")))
     incidence = []
-    for entry in _expect_list(mapping.get("incidence", []), "incidence"):
-        e = _expect_mapping(entry, "incidence entry")
+    for e in _expect_list(mapping.get("incidence", []), "incidence"):
+        if type(e) is dict:
+            frm, to, coeff = e.get("from"), e.get("to"), e.get("coeff")
+            if type(frm) is str and type(to) is str and type(coeff) is int:
+                incidence.append((frm, to, coeff))
+                continue
+        e = _expect_mapping(e, "incidence entry")
         for field in ("from", "to", "coeff"):
             if field not in e:
                 raise FormatError(f"each incidence entry needs '{field}'")

@@ -4,8 +4,10 @@ The floer and homology strings, for inputs with "p/q" entries, were
 printed before matrices stored integer numerators over one denominator.
 The two sweep outputs at benchmark sizes and the sample-stream digests
 were recorded before the sampler drew from int pools instead of Fraction
-pools.  A change of storage, arithmetic or sampling must never change a
-printed number or a sampled entry.
+pools.  The cell-complex outputs and error lines were recorded before
+input files were parsed straight into integer storage.  A change of
+storage, arithmetic, parsing or sampling must never change a printed
+number, an error message or a sampled entry.
 """
 
 import hashlib
@@ -103,3 +105,115 @@ def test_sample_stream_unchanged(name, quiver):
                     h.update(" ".join(str(x) for x in b.entries()).encode())
                     h.update(b";")
     assert h.hexdigest() == SAMPLE_DIGESTS[name]
+
+
+def triangulated_torus():
+    """3x3 grid torus: 9 vertices, 27 edges, 18 triangles, simplicial signs.
+
+    Some dimensions and coefficients are integer strings ("0", "-1", "+1").
+    """
+    v = lambda i, j: f"v{i % 3}{j % 3}"
+    cells = [{"id": v(i, j), "dim": "0"} for i in range(3) for j in range(3)]
+    edges, incidence = {}, []
+    for i in range(3):
+        for j in range(3):
+            for kind, (di, dj) in (("h", (1, 0)), ("u", (0, 1)), ("d", (1, 1))):
+                e = f"{kind}{i}{j}"
+                edges[(v(i, j), v(i + di, j + dj))] = e
+                cells.append({"id": e, "dim": 1})
+                incidence += [{"from": e, "to": v(i + di, j + dj), "coeff": 1},
+                              {"from": e, "to": v(i, j), "coeff": "-1"}]
+    for i in range(3):
+        for j in range(3):
+            for t, tri in enumerate(((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                                     (v(i, j), v(i + 1, j + 1), v(i, j + 1)))):
+                f = f"t{t}{i}{j}"
+                cells.append({"id": f, "dim": "2"})
+                for p, q in zip(tri, tri[1:] + tri[:1]):
+                    if (p, q) in edges:
+                        incidence.append({"from": f, "to": edges[(p, q)], "coeff": "+1"})
+                    else:
+                        incidence.append({"from": f, "to": edges[(q, p)], "coeff": -1})
+    return {"cells": cells, "incidence": incidence}
+
+
+SURFACE_GOLDEN = [
+    (["homology"], "H0=1 H1=2 H2=1 chi=0\n"),
+    (["homology", "--json"], '{"euler": 0, "homology": {"0": 1, "1": 2, "2": 1}}\n'),
+    (["classify"], "genus=1 euler=0\n"),
+    (
+        ["classify", "--json"],
+        '{"connected": true, "euler": 0, "genus": 1, "orientable_assumed": true}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SURFACE_GOLDEN, ids=[" ".join(a) for a, _ in SURFACE_GOLDEN])
+def test_surface_stdout_unchanged(argv, expected, tmp_path, capsys):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(triangulated_torus()))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+EDGE = {"cells": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1}]}
+CELL_REFUSED = {
+    "duplicate cell id": (
+        {"cells": [{"id": i, "dim": 0} for i in ("b", "a", "c", "b", "a")]},
+        "error: duplicate cell ids: ['a', 'b']",
+    ),
+    "dangling end": (
+        dict(EDGE, incidence=[{"from": "e", "to": "ghost", "coeff": 1}]),
+        "error: incidence references unknown cell 'ghost'",
+    ),
+    "dimension drop": (
+        {"cells": [{"id": "a", "dim": 0}, {"id": "f", "dim": "2"}],
+         "incidence": [{"from": "f", "to": "a", "coeff": 1}]},
+        "error: incidence 'f'->'a' must drop dimension by exactly 1",
+    ),
+    "duplicate pair": (
+        dict(EDGE, incidence=[{"from": "e", "to": "a", "coeff": 1},
+                              {"from": "e", "to": "a", "coeff": "-1"}]),
+        "error: duplicate incidence pair 'e'->'a'",
+    ),
+    "bool coeff": (
+        dict(EDGE, incidence=[{"from": "e", "to": "a", "coeff": True}]),
+        "error: coeff must be an integer, got True",
+    ),
+    "non-dict cell": ({"cells": [["a", 0]]}, "error: cell must be an object, got list"),
+    "non-dict incidence": (
+        dict(EDGE, incidence=[["e", "a", 1]]),
+        "error: incidence entry must be an object, got list",
+    ),
+}
+MATRIX_REFUSED = {
+    "zero denominator": (
+        {"dims": {"0": 1, "1": 1}, "differential": {"0": [["1/0"]]}},
+        "error: bad rational literal '1/0'",
+    ),
+    "ragged rows": (
+        {"dims": {"0": 2, "1": 2}, "differential": {"0": [[1, "1/2"], [3]]}},
+        "error: ragged rows",
+    ),
+    "bad literal after ragged row": (
+        {"dims": {"0": 2, "1": 3}, "differential": {"0": [[1, 2], [3], ["x", 0]]}},
+        "error: bad rational literal 'x'",
+    ),
+}
+REFUSED = (
+    [(command, case, *CELL_REFUSED[case]) for command in ("homology", "classify")
+     for case in CELL_REFUSED]
+    + [("homology", case, *MATRIX_REFUSED[case]) for case in MATRIX_REFUSED]
+)
+
+
+@pytest.mark.parametrize(
+    "command, case, doc, message", REFUSED, ids=[f"{c} {k}" for c, k, _, _ in REFUSED]
+)
+def test_refused_input_message_unchanged(command, case, doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message + "\n")

@@ -147,6 +147,18 @@ class TestGradedMap:
         with pytest.raises(ShapeError):
             GradedMap(v, v, 0, {0: RationalMatrix.identity(1)})
 
+    # Each used to be converted with int(): the str key's block was dropped
+    # silently (a zero map) and every other value was taken as degree 0.
+    @pytest.mark.parametrize(
+        "degree, key",
+        [(0, "0"), (0, False), (0, 0.0), (False, 0), ("0", 0), (0.0, 0)],
+        ids=["str key", "bool key", "float key", "bool degree", "str degree", "float degree"],
+    )
+    def test_non_int_degree_and_keys_rejected(self, degree, key):
+        s = GradedVectorSpace({0: 1})
+        with pytest.raises(ShapeError):
+            GradedMap(s, s, degree, {key: RationalMatrix.identity(1)})
+
     def test_identity_compose(self):
         v = GradedVectorSpace({0: 2, 1: 1})
         f = _map(v, v, 0, {0: [[1, 2], [3, 4]], 1: [[5]]})

@@ -1,11 +1,21 @@
+import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exacthom.cellular import CellComplex
 from exacthom.complexes import CochainComplex
-from exacthom.errors import CellComplexError, FormatError, InvalidComplexError
+from exacthom.errors import (
+    CellComplexError,
+    ExactHomError,
+    FormatError,
+    InvalidComplexError,
+    ShapeError,
+)
 from exacthom.io import (
     load_cell_complex,
     load_complex,
@@ -20,6 +30,10 @@ from exacthom.io import (
     parse_representation,
 )
 from exacthom.quiver import sphere_quiver, torus_quiver
+from exacthom.rational import RationalMatrix
+
+# Deterministic and bounded, so the suite runs the same examples every time.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def write_json(tmp_path, payload, name="doc.json"):
@@ -66,6 +80,96 @@ class TestScalars:
             parse_graded_space({literal: 1})
         with pytest.raises(FormatError):
             parse_graded_space({"0": literal})
+
+
+_REFERENCE_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def reference_scalar(value) -> Fraction:
+    """One Fraction per entry: how matrix entries were read before integer storage."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        if _REFERENCE_RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise FormatError(f"bad rational literal {value!r}")
+    raise FormatError(f"matrix entries must be exact (int or 'p/q'), got {value!r}")
+
+
+def reference_parse_matrix(obj) -> RationalMatrix:
+    if not isinstance(obj, list):
+        raise FormatError(f"matrix must be a list, got {type(obj).__name__}")
+    parsed = []
+    for row in obj:
+        if not isinstance(row, list):
+            raise FormatError(f"matrix row must be a list, got {type(row).__name__}")
+        parsed.append([reference_scalar(x) for x in row])
+    try:
+        return RationalMatrix.from_rows(parsed)
+    except ShapeError as exc:
+        raise FormatError(str(exc))
+
+
+def outcome(parse, obj):
+    """The matrix parsed, or the FormatError's message."""
+    try:
+        return parse(obj)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def _digits(n: int, pad: int) -> str:
+    return "0" * pad + str(n)
+
+
+# Signed, zero-padded, unreduced "p" and "p/q" strings ("-0/3" among them).
+literals = st.builds(
+    lambda sign, p, q, pad_p, pad_q: sign + _digits(p, pad_p) + (f"/{_digits(q, pad_q)}" if q else ""),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 10**30),
+    st.integers(0, 36),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+entries = st.one_of(st.integers(-(10**30), 10**30), st.integers(-3, 3), literals)
+matrices = st.integers(0, 4).flatmap(
+    lambda cols: st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=4)
+)
+
+
+class TestIntegerParse:
+    """parse_matrix reads int numerators and denominators; the Fraction path is the oracle."""
+
+    @PROPERTY
+    @given(matrices)
+    @example([["1/2", "2/3", 5], ["-0/3", "+04/06", "-7"]])
+    @example([[10**40, "1/" + "9" * 40]])
+    def test_equals_fraction_reference(self, rows):
+        parsed = parse_matrix(rows)
+        assert parsed == reference_parse_matrix(rows)
+        assert parsed.to_lists() == [[reference_scalar(x) for x in row] for row in rows]
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [["1/0"]], [["6/-3"]], [["1e5"]], [[" 1"]], [["1" * 5000]], [["1/" + "2" * 5000]],
+            [[0.5]], [[2.0]], [[True]], [[1, False]], [[None]], [[[1]]],
+            [[1, 2], [3]], [[1], 2], [[1], "1"], 3, {"0": [1]},
+            [[1, 2], [3], ["x", 0]], [[1, 2], [3], 4], [["1/0", 2], [3]],
+        ],
+        ids=[
+            "1/0", "6/-3", "1e5", "space 1", "5000 digits", "5000-digit denominator",
+            "float", "integral float", "bool", "mixed bool", "null", "nested list",
+            "ragged", "int row", "str row", "int matrix", "object matrix",
+            "bad literal after ragged row", "int row after ragged row", "bad literal in ragged matrix",
+        ],
+    )
+    def test_refused_with_reference_message(self, obj):
+        got = outcome(parse_matrix, obj)
+        assert isinstance(got, str) and got == outcome(reference_parse_matrix, obj)
 
 
 class TestGradedSpace:
@@ -234,3 +338,93 @@ class TestFiles:
         path = write_json(tmp_path, {"quiver": "sphere", "space": {}})
         with pytest.raises(FormatError):
             load_homology_input(path)
+
+
+# Values of every JSON type, kept small: names and numbers the parsers look
+# for, so that mutated documents reach the deeper checks, and no dimension
+# large enough to allocate much.
+FIELDS = [
+    "cells", "incidence", "id", "dim", "from", "to", "coeff", "dims", "differential",
+    "quiver", "space", "maps", "generators", "relations", "name", "degree",
+    "invertible", "generator", "terms", "word", "z", "m", "n", "h", "v", "e",
+    "0", "1", "-1", "2",
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 2)
+    | st.sampled_from(FIELDS + ["sphere", "torus", "1/2", "-3/6", "0/0", "1e5", "+1", "x", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=4),
+    max_leaves=16,
+)
+
+VALID = {
+    "surface": {
+        "cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": "1"}, {"id": "f", "dim": 2}],
+        "incidence": [{"from": "e", "to": "v", "coeff": 0}, {"from": "f", "to": "e", "coeff": "-0"}],
+    },
+    "cochain": {"dims": {"0": 1, "1": 2}, "differential": {"0": [["1/2"], [0]]}},
+    "representation": {
+        "quiver": "sphere",
+        "space": {"0": 1, "1": 1},
+        "maps": {"z": {"1": [["-2/3"]]}},
+    },
+    "inline quiver": {
+        "quiver": {
+            "generators": [{"name": "a", "degree": 0, "invertible": True}, {"name": "b", "degree": -1}],
+            "relations": [{"generator": "b", "terms": [{"coeff": 1, "word": ["a", "a"]}]}],
+        },
+        "space": {"0": 1},
+        "maps": {"a": {"0": [[1]]}},
+    },
+}
+PARSERS = [parse_cell_complex, parse_complex, parse_representation, parse_matrix]
+
+
+def _paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, path, replacement):
+    """doc with the value at path dropped (replacement None) or replaced."""
+    if not path:
+        return replacement
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return doc
+
+
+def assert_result_or_refused(doc):
+    """Every parser returns or raises ExactHomError; any other exception fails the test."""
+    for parse in PARSERS:
+        try:
+            parse(doc)
+        except ExactHomError:
+            pass
+
+
+class TestParserRobustness:
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_valid_documents_parse(self, name):
+        parse = parse_cell_complex if name == "surface" else parse_complex if name == "cochain" else parse_representation
+        parse(VALID[name])
+
+    @PROPERTY
+    @given(json_values)
+    def test_any_json_value(self, doc):
+        assert_result_or_refused(doc)
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(VALID)), st.data())
+    def test_mutated_valid_document(self, name, data):
+        doc = VALID[name]
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        replacement = data.draw(st.none() | json_values)
+        assert_result_or_refused(_mutated(doc, path, replacement))
