@@ -411,9 +411,12 @@ def assert_result_or_refused(doc):
 
 
 class TestParserRobustness:
-    @pytest.mark.parametrize("name", sorted(VALID))
-    def test_valid_documents_parse(self, name):
-        parse = parse_cell_complex if name == "surface" else parse_complex if name == "cochain" else parse_representation
+    @pytest.mark.parametrize(
+        "name, parse",
+        [("surface", parse_cell_complex), ("cochain", parse_complex),
+         ("representation", parse_representation), ("inline quiver", parse_representation)],
+    )
+    def test_valid_documents_parse(self, name, parse):
         parse(VALID[name])
 
     @PROPERTY
