@@ -14,7 +14,6 @@ from .graded import (
 )
 from .complexes import (
     CochainComplex,
-    CohomologyResult,
     random_complex,
 )
 from .cellular import (
@@ -74,7 +73,6 @@ __all__ = [
     "dual_space",
     "hom_space",
     "CochainComplex",
-    "CohomologyResult",
     "random_complex",
     "Cell",
     "CellComplex",

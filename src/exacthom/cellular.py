@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .complexes import CochainComplex, CohomologyResult
+from .complexes import CochainComplex
 from .errors import (
     CellComplexError,
     ClassificationError,
     FormatError,
     InvalidComplexError,
+    integer_literal,
     require_type,
 )
 from .graded import GradedMap, GradedVectorSpace
@@ -147,9 +148,8 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
     blocks: Dict[int, RationalMatrix] = {}
     for d in range(1, len(ids)):
         sources, targets = ids[d], ids[d - 1]
-        if sources and targets:
-            entries = [coeff.get((a, b), 0) for b in targets for a in sources]
-            blocks[-d] = RationalMatrix.from_numerators(len(targets), len(sources), entries, 1)
+        entries = [coeff.get((a, b), 0) for b in targets for a in sources]
+        blocks[-d] = RationalMatrix.from_numerators(len(targets), len(sources), entries, 1)
     diff = GradedMap(space, space, 1, blocks)
     try:
         return CochainComplex(space, diff)
@@ -157,14 +157,14 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
         raise CellComplexError("inconsistent incidence data: boundary of boundary is nonzero")
 
 
-def homology_of(cc: CellComplex) -> CohomologyResult:
+def homology_of(cc: CellComplex) -> GradedVectorSpace:
     """Homology in geometric (lower) indices i >= 0."""
     return _homology(chain_complex_of(cc))
 
 
-def _homology(chains: CochainComplex) -> CohomologyResult:
+def _homology(chains: CochainComplex) -> GradedVectorSpace:
     """Homology of a complex built by chain_complex_of, in lower indices."""
-    return CohomologyResult({-n: v for n, v in chains.cohomology().dims.items()})
+    return GradedVectorSpace({-n: v for n, v in chains.cohomology().dims.items()})
 
 
 def circle() -> CellComplex:
@@ -204,11 +204,8 @@ def builtin(name: str) -> CellComplex:
     if name == "torus":
         return torus()
     if name.startswith("genus_g:"):
-        try:
-            g = int(name.split(":", 1)[1])
-        except ValueError:
-            raise FormatError(f"bad genus in builtin name {name!r}")
-        return genus_surface(g)
+        genus = name[len("genus_g:"):]
+        return genus_surface(integer_literal(genus, f"genus in builtin name {name!r}"))
     raise FormatError(f"unknown builtin cell complex {name!r}")
 
 
@@ -238,7 +235,7 @@ def classify_surface(cc: CellComplex) -> SurfaceVerdict:
         raise ClassificationError(
             f"not classifiable: dim H_0 = {h.dim(0)}, expected 1 (connected)"
         )
-    above = [n for n in h.support() if n > 2]
+    above = [n for n in h.degrees() if n > 2]
     if above:
         raise ClassificationError(
             f"not a surface: homology nonzero in dimension {above[0]}"

@@ -120,11 +120,7 @@ def _sample_invertible(rng: random.Random, n: int) -> RationalMatrix:
 def _sample_degree_map(
     rng: random.Random, space: GradedVectorSpace, degree: int
 ) -> GradedMap:
-    blocks = {}
-    for i in space.degrees():
-        rows = space.dim(i + degree)
-        if rows:
-            blocks[i] = _sample_matrix(rng, rows, space.dim(i))
+    blocks = {i: _sample_matrix(rng, space.dim(i + degree), space.dim(i)) for i in space.degrees()}
     return GradedMap(space, space, degree, blocks)
 
 
@@ -337,9 +333,9 @@ def _self_pair_violations(rep: Representation, label: str) -> List[Dict[str, obj
                 f"HF^{-k} = {hf.dim(-k)} and HF^{k + 2} = {hf.dim(k + 2)}, "
                 f"not dim V^lo * dim V^hi = {ends}"
             )
-        if any(not -k <= d <= k + 2 for d in hf.dims):
-            flag(f"support {hf.support()} leaves [{-k}, {k + 2}]")
-    broken = sorted({min(d, 2 - d) for d, n in hf.dims.items() if hf.dims.get(2 - d, 0) != n})
+        if any(not -k <= d <= k + 2 for d in hf.degrees()):
+            flag(f"support {hf.degrees()} leaves [{-k}, {k + 2}]")
+    broken = sorted({min(d, 2 - d) for d in hf.degrees() if hf.dim(2 - d) != hf.dim(d)})
     if broken:
         flag(f"duality HF^d = HF^(2-d) fails at d in {broken}: cohomology {hf.dims}")
     return out

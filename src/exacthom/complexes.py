@@ -1,16 +1,16 @@
 """Cochain complexes over the rationals.
 
 A cochain complex is a graded vector space with a degree +1 differential
-squaring to zero.  Cohomology, Euler characteristic (computed two ways),
-shift, and direct sum are provided, together with a seeded generator of
-random valid complexes for property tests.
+squaring to zero.  Cohomology (a GradedVectorSpace of dimensions), Euler
+characteristic (computed two ways), shift, and direct sum are provided,
+together with a seeded generator of random valid complexes for property
+tests.  The differential stores only its nonzero blocks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from .errors import InvalidComplexError
 from .graded import GradedMap, GradedVectorSpace
@@ -18,29 +18,6 @@ from .rational import RationalMatrix, block_diag
 
 # Entries of the random complexes' coefficient matrices.
 _ENTRY_POOL = (-2, -1, 0, 1, 2)
-
-
-@dataclass(frozen=True)
-class CohomologyResult:
-    """Degreewise cohomology dimensions; zero entries omitted."""
-
-    dims: Dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {int(k): int(v) for k, v in self.dims.items() if v}
-        object.__setattr__(self, "dims", dict(sorted(clean.items())))
-
-    def dim(self, n: int) -> int:
-        return self.dims.get(n, 0)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def euler(self) -> int:
-        return sum((-1 if n % 2 else 1) * d for n, d in self.dims.items())
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(self.dims)
 
 
 class CochainComplex:
@@ -73,10 +50,11 @@ class CochainComplex:
         """True iff every composite d(i+1) . d(i) is the zero matrix."""
         return (self.differential @ self.differential).is_zero()
 
-    def cohomology(self) -> CohomologyResult:
+    def cohomology(self) -> GradedVectorSpace:
         """dim H^n = dim C^n - rank d^n - rank d^{n-1}; computed once, then cached.
 
         Only stored blocks are ranked: a missing block is zero, of rank 0.
+        The cached space is immutable; its dims property returns a copy.
         """
         if self._cohomology is None:
             ranks = {i: b.rank() for i, b in self.differential.blocks().items()}
@@ -84,7 +62,7 @@ class CochainComplex:
                 n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
                 for n in self.space.degrees()
             }
-            self._cohomology = CohomologyResult(dims)
+            self._cohomology = GradedVectorSpace(dims)
         return self._cohomology
 
     def euler_from_dims(self) -> int:
@@ -102,7 +80,7 @@ class CochainComplex:
 
     def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
         space = self.space.direct_sum(other.space)
-        degrees = sorted(set(self.space.degrees()) | set(other.space.degrees()))
+        degrees = self.differential.blocks().keys() | other.differential.blocks().keys()
         blocks = {
             i: block_diag(self.differential.block(i), other.differential.block(i))
             for i in degrees
@@ -133,13 +111,10 @@ def random_complex(dims: Mapping[int, int], seed: int) -> CochainComplex:
     lo, hi = min(space.degrees()), max(space.degrees())
     prev = RationalMatrix.zero(space.dim(lo), 0)
     for i in range(lo, hi + 1):
-        rows, cols = space.dim(i + 1), space.dim(i)
+        rows = space.dim(i + 1)
         basis = prev.transpose().kernel_basis()
         coeff = RationalMatrix(
             rows, basis.cols, [rng.choice(_ENTRY_POOL) for _ in range(rows * basis.cols)]
         )
-        blk = coeff @ basis.transpose()
-        if rows and cols:
-            blocks[i] = blk
-        prev = blk
+        blocks[i] = prev = coeff @ basis.transpose()
     return CochainComplex(space, GradedMap(space, space, 1, blocks))

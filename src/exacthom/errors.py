@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the field-type check that raises one."""
+"""Exception types shared across the package, and the input checks that raise one."""
+
+import re
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class ExactHomError(Exception):
@@ -38,3 +42,13 @@ def require_type(value, kind: type, what: str):
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     raise FormatError(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
+def integer_literal(text: str, what: str) -> int:
+    """The int a plain ASCII literal [+-]?[0-9]+ spells, else FormatError."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(f"{what} must be an integer, got {text!r}")

@@ -2,8 +2,9 @@
 
 A graded vector space is a finite family of finite-dimensional rational
 vector spaces indexed by integers.  Only the dimensions are tracked; maps
-carry explicit matrices per degree.  The grading is cohomological: a map
-of degree d sends degree i to degree i+d, and the shift V[s] is defined by
+carry explicit matrices for the degrees where they are nonzero, and a
+missing degree is a zero block.  The grading is cohomological: a map of
+degree d sends degree i to degree i+d, and the shift V[s] is defined by
 V[s]^i = V^{i+s}.
 """
 
@@ -85,11 +86,11 @@ class GradedMap:
     """Degree-d linear map between graded vector spaces.
 
     Stored as one matrix per source degree i, of shape
-    target.dim(i+d) x source.dim(i).  Degrees where either side is zero
-    carry no block; every other degree always has one (a zero matrix if
-    none was supplied), so equality is plain field comparison.  The degree
-    and the block keys must be plain ints; anything else, a bool included,
-    is refused with ShapeError rather than converted.
+    target.dim(i+d) x source.dim(i), for the degrees where that matrix is
+    nonzero, in ascending degree.  Zero blocks are never stored, so
+    equality is plain field comparison.  The degree and the block keys
+    must be plain ints; anything else, a bool included, is refused with
+    ShapeError rather than converted.
     """
 
     __slots__ = ("source", "target", "degree", "_blocks")
@@ -106,33 +107,18 @@ class GradedMap:
         self.source = source
         self.target = target
         self.degree = degree
-        canon: Dict[int, RationalMatrix] = {}
-        for i in source.degrees():
-            rows = target.dim(i + self.degree)
-            cols = source.dim(i)
-            if rows == 0:
-                continue
-            blk = blocks.get(i)
-            if blk is None:
-                blk = RationalMatrix.zero(rows, cols)
-            elif blk.rows != rows or blk.cols != cols:
+        kept: Dict[int, RationalMatrix] = {}
+        for i, blk in blocks.items():
+            if type(i) is not int:
+                raise ShapeError(f"block degree {i!r} must be an int")
+            rows, cols = target.dim(i + degree), source.dim(i)
+            if blk.rows != rows or blk.cols != cols:
                 raise ShapeError(
                     f"block at degree {i} must be {rows}x{cols}, got {blk.rows}x{blk.cols}"
                 )
-            canon[i] = blk
-        for i, b in blocks.items():
-            if type(i) is not int:
-                raise ShapeError(f"block degree {i!r} must be an int")
-            if i in canon:
-                continue
-            want_r = target.dim(i + self.degree)
-            want_c = source.dim(i)
-            if b.rows != want_r or b.cols != want_c:
-                raise ShapeError(
-                    f"block at degree {i} must be {want_r}x{want_c}, "
-                    f"got {b.rows}x{b.cols}"
-                )
-        self._blocks = canon
+            if not blk.is_zero():
+                kept[i] = blk
+        self._blocks = dict(sorted(kept.items()))
 
     @classmethod
     def zero(
@@ -150,7 +136,7 @@ class GradedMap:
         )
 
     def block(self, i: int) -> RationalMatrix:
-        """Matrix in source degree i; zero-shaped blocks are materialized."""
+        """Matrix in source degree i; a zero matrix, built here, if none is stored."""
         blk = self._blocks.get(i)
         if blk is not None:
             return blk
@@ -160,13 +146,13 @@ class GradedMap:
         return dict(self._blocks)
 
     def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self._blocks.values())
+        return not self._blocks
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         """Composition self after other.
 
         Only degrees where both factors store a block are multiplied; every
-        other block of the composite is zero, and the constructor fills it.
+        other block of the composite is zero, and is not stored.
         """
         if other.target != self.source:
             raise ShapeError("composition needs matching middle space")
@@ -185,7 +171,10 @@ class GradedMap:
             or self.degree != other.degree
         ):
             raise ShapeError("can only add maps with identical type and degree")
-        out = {i: self.block(i) + other.block(i) for i in self.source.degrees()}
+        out = dict(self._blocks)
+        for i, b in other._blocks.items():
+            a = out.get(i)
+            out[i] = b if a is None else a + b
         return GradedMap(self.source, self.target, self.degree, out)
 
     def __neg__(self) -> "GradedMap":
@@ -217,9 +206,7 @@ class GradedMap:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.source, self.target, self.degree, tuple(sorted(self._blocks.items(), key=lambda kv: kv[0])))
-        )
+        return hash((self.source, self.target, self.degree, tuple(self._blocks.items())))
 
     def __repr__(self) -> str:
         return (

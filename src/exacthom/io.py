@@ -21,12 +21,11 @@ from typing import Dict, List, Tuple, Union
 
 from .cellular import CellComplex
 from .complexes import CochainComplex
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, integer_literal
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import QuiverPresentation, Representation, builtin_quiver
 from .rational import RationalMatrix
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def load_document(path: str):
@@ -54,11 +53,8 @@ def _expect_list(obj, what: str) -> list:
 def _int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and _INTEGER.fullmatch(value):
-        try:
-            return int(value)
-        except ValueError:  # more digits than int() converts
-            pass
+    if isinstance(value, str):
+        return integer_literal(value, what)
     raise FormatError(f"{what} must be an integer, got {value!r}")
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, Mapping, Optional, Tuple
 
-from .complexes import CochainComplex, CohomologyResult
+from .complexes import CochainComplex
 from .errors import (
     FormatError,
     RepresentationError,
@@ -265,6 +265,7 @@ def _hom_summands(
     return u, layout, GradedVectorSpace(dims)
 
 
+# A generator acts by zero at a degree where its map stores no block.
 _NO_BLOCK = (0, 0, ())
 
 
@@ -319,7 +320,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     return HomComplexResult(CochainComplex(total, diff), layout, True)
 
 
-def floer_cohomology(v: Representation, w: Representation) -> CohomologyResult:
+def floer_cohomology(v: Representation, w: Representation) -> GradedVectorSpace:
     """Cohomology of the morphism complex; needs the differential."""
     result = hom_complex(v, w)
     if not result.differential_defined:

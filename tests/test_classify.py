@@ -18,7 +18,7 @@ from exacthom.classify import (
     sample_representation_at,
     sample_representations,
 )
-from exacthom.complexes import CohomologyResult
+from exacthom.graded import GradedVectorSpace
 from exacthom.errors import FormatError
 from exacthom.quiver import (
     floer_cohomology,
@@ -223,7 +223,7 @@ class TestChecksCanFail:
             dims = dict(true(v, w).dims)
             if self.spread(v) >= 1:
                 dims[0] = dims.get(0, 0) + 1
-            return CohomologyResult(dims)
+            return GradedVectorSpace(dims)
 
         monkeypatch.setattr(exacthom.classify, "floer_cohomology", skew)
 
@@ -241,7 +241,7 @@ class TestChecksCanFail:
 
     def test_empty_cohomology_is_a_violation(self, monkeypatch):
         monkeypatch.setattr(
-            exacthom.classify, "floer_cohomology", lambda v, w: CohomologyResult({})
+            exacthom.classify, "floer_cohomology", lambda v, w: GradedVectorSpace({})
         )
         cfg = SampleConfig(seed=3, count=10)
         assert len(check_sphere_theorem(cfg).violations) == 28 + 10

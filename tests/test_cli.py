@@ -126,6 +126,23 @@ class TestHomology:
         assert (code, out) == (2, "")
         assert "not valid JSON" in err
 
+    def test_large_zero_differential(self, capsys, tmp_path):
+        """A zero differential stores no block, so large dimensions cost nothing."""
+        path = tmp_path / "big.json"
+        path.write_text('{"dims": {"0": 2000, "1": 2000}}\n')
+        assert path.stat().st_size == 33
+        assert run(capsys, "homology", str(path))[:2] == (0, "H0=2000 H1=2000 chi=0\n")
+
+    # Input files refuse exactly these integer literals; so do builtin names.
+    @pytest.mark.parametrize("command", ["homology", "classify"])
+    @pytest.mark.parametrize(
+        "genus", ["1_0", " 2", "\u0661", ""], ids=["underscore", "space", "arabic-indic", "empty"]
+    )
+    def test_genus_literal_refused(self, capsys, command, genus):
+        code, out, err = run(capsys, command, f"builtin:genus_g:{genus}")
+        assert (code, out) == (2, "")
+        assert f"genus in builtin name 'genus_g:{genus}' must be an integer" in err
+
 
 class TestClassify:
     def test_sphere(self, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from exacthom.complexes import (
     CochainComplex,
-    CohomologyResult,
     random_complex,
 )
 from exacthom.errors import InvalidComplexError
@@ -71,6 +70,11 @@ class TestCheckOnce:
     def test_cohomology_is_cached(self):
         c = surface_complex(2)
         assert c.cohomology() is c.cohomology()
+
+    def test_cached_cohomology_cannot_be_mutated(self):
+        c = surface_complex(1)
+        c.cohomology().dims[0] = 99
+        assert c.cohomology().dims == {-2: 1, -1: 2, 0: 1}
 
 
 class TestCohomology:
@@ -212,10 +216,3 @@ class TestRandomComplex:
         )
         assert hits > 10
 
-
-def test_cohomology_result_helpers():
-    h = CohomologyResult({0: 1, 2: 1, 5: 0})
-    assert h.dims == {0: 1, 2: 1}
-    assert h.total_dim() == 2
-    assert h.euler() == 2
-    assert h.support() == (0, 2)

@@ -47,6 +47,12 @@ class TestSpace:
         v = GradedVectorSpace({0: 1, 1: 2, 2: 1})
         assert v.total_dim() == 4
         assert v.euler() == 0
+        # Cohomology comes back in this form: a zero entry is dropped from every view.
+        h = GradedVectorSpace({0: 1, 2: 1, 5: 0})
+        assert h.dims == {0: 1, 2: 1}
+        assert h.total_dim() == 2
+        assert h.euler() == 2
+        assert h.degrees() == (0, 2)
 
 
 class TestShift:
@@ -236,6 +242,32 @@ class TestGradedMap:
         a = _map(v, v, 0, {0: [[1, 0], [0, 2]]})
         b = _map(v, v, 0, {0: [[3, 0], [0, 1]]})
         assert (a @ b - b @ a).is_zero()
+
+    def test_zero_map_stores_no_block(self):
+        big = GradedVectorSpace({0: 2000, 1: 2000})
+        assert GradedMap.zero(big, big, 1).blocks() == {}
+        v = GradedVectorSpace({0: 2, 1: 1})
+        assert GradedMap.zero(v, v, 1).block(0) == RationalMatrix.zero(1, 2)
+
+    def test_one_canonical_form(self):
+        """An explicit zero block and the order of the keys leave no trace."""
+        v = GradedVectorSpace({0: 2, 1: 1})
+        a, b = RationalMatrix.identity(2), RationalMatrix.from_rows([[3]])
+        plain = GradedMap(v, v, 0, {0: a, 1: b})
+        variants = [
+            GradedMap(v, v, 0, {1: b, 0: a}),
+            GradedMap(v, v, 0, {0: a, 1: b, 5: RationalMatrix.zero(0, 0)}),
+            GradedMap(v, v, 0, {0: a, 1: b.scale(0)}) + GradedMap(v, v, 0, {1: b}),
+        ]
+        for f in variants:
+            assert f == plain
+            assert hash(f) == hash(plain)
+            assert repr(f) == repr(plain) == "GradedMap(degree=0, blocks={0: 2x2, 1: 1x1})"
+        zero_block = GradedMap(v, v, 0, {0: a, 1: RationalMatrix.zero(1, 1)})
+        no_block = GradedMap(v, v, 0, {0: a})
+        assert zero_block == no_block
+        assert hash(zero_block) == hash(no_block)
+        assert repr(zero_block) == repr(no_block) == "GradedMap(degree=0, blocks={0: 2x2})"
 
     def test_mismatched_add_rejected(self):
         v = GradedVectorSpace({0: 1})
