@@ -216,3 +216,12 @@ class TestRandomComplex:
         )
         assert hits > 10
 
+
+def test_cohomology_result_helpers():
+    """Cohomology comes back as a GradedVectorSpace; a zero entry is dropped from every view."""
+    h = GradedVectorSpace({0: 1, 2: 1, 5: 0})
+    assert h.dims == {0: 1, 2: 1}
+    assert h.total_dim() == 2
+    assert h.euler() == 2
+    assert h.degrees() == (0, 2)
+    assert isinstance(surface_complex(1).cohomology(), GradedVectorSpace)

@@ -47,12 +47,6 @@ class TestSpace:
         v = GradedVectorSpace({0: 1, 1: 2, 2: 1})
         assert v.total_dim() == 4
         assert v.euler() == 0
-        # Cohomology comes back in this form: a zero entry is dropped from every view.
-        h = GradedVectorSpace({0: 1, 2: 1, 5: 0})
-        assert h.dims == {0: 1, 2: 1}
-        assert h.total_dim() == 2
-        assert h.euler() == 2
-        assert h.degrees() == (0, 2)
 
 
 class TestShift:
