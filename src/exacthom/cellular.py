@@ -10,9 +10,9 @@ boundary blocks are written as int numerators straight from the stored dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+from ._record import Record
 from .complexes import CochainComplex
 from .errors import (
     CellComplexError,
@@ -26,33 +26,44 @@ from .graded import GradedMap, GradedVectorSpace
 from .rational import RationalMatrix
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
+    __slots__ = ("id", "dim")
     id: str
     dim: int
 
+    def __init__(self, id: str, dim: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "dim", dim)
 
-@dataclass(frozen=True)
-class Incidence:
+
+class Incidence(Record):
+    __slots__ = ("frm", "to", "coeff")
     frm: str
     to: str
     coeff: int
 
+    def __init__(self, frm: str, to: str, coeff: int):
+        object.__setattr__(self, "frm", frm)
+        object.__setattr__(self, "to", to)
+        object.__setattr__(self, "coeff", coeff)
 
-@dataclass(frozen=True)
-class SurfaceVerdict:
+
+class SurfaceVerdict(Record):
     """Outcome of classifying a closed orientable surface by its invariants."""
 
+    __slots__ = ("genus", "euler", "connected", "orientable_assumed")
     genus: int
     euler: int
     connected: bool
     orientable_assumed: bool
 
-    def __post_init__(self):
-        if self.euler != 2 - 2 * self.genus:
-            raise ClassificationError(
-                f"inconsistent verdict: euler {self.euler} vs genus {self.genus}"
-            )
+    def __init__(self, genus: int, euler: int, connected: bool, orientable_assumed: bool):
+        if euler != 2 - 2 * genus:
+            raise ClassificationError(f"inconsistent verdict: euler {euler} vs genus {genus}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "orientable_assumed", orientable_assumed)
 
 
 class CellComplex:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
+from ._record import Record
 from .errors import FormatError, RepresentationError
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import (
@@ -48,24 +48,34 @@ def _mix(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    seed: int = 0
-    count: int = 100
-    max_total_dim: int = 3
+class SampleConfig(Record):
+    __slots__ = ("seed", "count", "max_total_dim")
+    seed: int
+    count: int
+    max_total_dim: int
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, seed: int = 0, count: int = 100, max_total_dim: int = 3):
+        if count < 1:
             raise FormatError("count must be at least 1")
-        if self.max_total_dim < 1:
+        if max_total_dim < 1:
             raise FormatError("max_total_dim must be at least 1")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "max_total_dim", max_total_dim)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
+    __slots__ = ("theorem", "samples_checked", "violations")
     theorem: str
     samples_checked: int
-    violations: Tuple[Dict[str, object], ...] = ()
+    violations: Tuple[Dict[str, object], ...]
+
+    def __init__(
+        self, theorem: str, samples_checked: int, violations: Tuple[Dict[str, object], ...] = ()
+    ):
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "samples_checked", samples_checked)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:

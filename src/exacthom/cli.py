@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .cellular import CellComplex, builtin as builtin_cell
@@ -31,6 +32,12 @@ from .quiver import (
 )
 
 BUILTIN_PREFIX = "builtin:"
+
+# homology and floer print one entry per degree from the lowest to the
+# highest, so a file with two far-apart degrees could ask for any number of
+# entries.  Apart from the tests of this limit, no test or benchmark input
+# spans more than 8 degrees.
+_MAX_DEGREE_SPAN = 1000
 
 _BUILTIN_REPRESENTATIONS = {
     "zero_section": zero_section_representation,
@@ -58,6 +65,17 @@ def _resolve_representation(source: str) -> Representation:
     return load_representation(source)
 
 
+def _degree_range(degrees: Sequence[int]) -> range:
+    """lo..hi of degrees (0..0 if none), refused past _MAX_DEGREE_SPAN."""
+    lo, hi = (min(degrees), max(degrees)) if degrees else (0, 0)
+    if hi - lo > _MAX_DEGREE_SPAN:
+        raise FormatError(
+            f"degrees {lo}..{hi} span {hi - lo}, "
+            f"more than the {_MAX_DEGREE_SPAN} a table may list"
+        )
+    return range(lo, hi + 1)
+
+
 def _emit(args, text: str, payload) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -69,17 +87,16 @@ def cmd_homology(args) -> int:
     target = _resolve_homology_input(args.source)
     if isinstance(target, CellComplex):
         # chain degree i is cochain degree -i
+        degrees, sign = _degree_range((0, target.max_dim())), -1
         complex_ = chain_complex_of(target)
-        lo, hi, sign = 0, target.max_dim(), -1
     else:
         complex_ = target
-        degrees = complex_.space.degrees() or (0,)
-        lo, hi, sign = min(degrees), max(degrees), 1
+        degrees, sign = _degree_range(complex_.space.degrees()), 1
     h = complex_.cohomology()
     chi = complex_.euler_from_dims()
     if chi != complex_.euler_from_cohomology():
         raise ExactHomError("euler characteristic mismatch between definitions")
-    table = {i: h.dim(sign * i) for i in range(lo, hi + 1)}
+    table = {i: h.dim(sign * i) for i in degrees}
     text = " ".join(f"H{i}={d}" for i, d in table.items()) + f" chi={chi}"
     _emit(args, text, {"homology": {str(i): d for i, d in table.items()}, "euler": chi})
     return 0
@@ -112,10 +129,9 @@ def cmd_floer(args) -> int:
             {"chi": chi, "differential_defined": False},
         )
         return 0
+    degrees = _degree_range(result.complex.space.degrees())
     hf = result.complex.cohomology()
-    degrees = result.complex.space.degrees() or (0,)
-    lo, hi = min(degrees), max(degrees)
-    table = {i: hf.dim(i) for i in range(lo, hi + 1)}
+    table = {i: hf.dim(i) for i in degrees}
     text = " ".join(f"HF{i}={d}" for i, d in table.items()) + f" chi={chi}"
     _emit(
         args,
@@ -142,7 +158,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use: every main() call in a
+    process parses with it, and importing this module does not build it."""
     parser = argparse.ArgumentParser(
         prog="exacthom",
         description="Exact-arithmetic homology workbench: cellular homology, "
@@ -179,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,11 +20,12 @@ image being zero forces d^2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
+from ._record import Record
 from .complexes import CochainComplex
 from .errors import (
     FormatError,
@@ -41,15 +42,19 @@ Word = Tuple[str, ...]
 Term = Tuple[int, Word]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
+    __slots__ = ("name", "degree", "invertible")
     name: str
     degree: int
-    invertible: bool = False
+    invertible: bool
+
+    def __init__(self, name: str, degree: int, invertible: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "invertible", invertible)
 
 
-@dataclass(frozen=True)
-class QuiverPresentation:
+class QuiverPresentation(Record):
     """Loop generators and their formal differentials.
 
     relations is a tuple of (generator name, terms); terms is a tuple of
@@ -57,11 +62,16 @@ class QuiverPresentation:
     without a listed relation have differential 0.
     """
 
+    __slots__ = ("generators", "relations")
     generators: Tuple[Generator, ...]
-    relations: Tuple[Tuple[str, Tuple[Term, ...]], ...] = ()
+    relations: Tuple[Tuple[str, Tuple[Term, ...]], ...]
 
-    def __post_init__(self):
-        gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in self.generators)
+    def __init__(
+        self,
+        generators: Tuple[Generator, ...],
+        relations: Tuple[Tuple[str, Tuple[Term, ...]], ...] = (),
+    ):
+        gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
         for g in gens:
             require_type(g.name, str, "generator name")
             require_type(g.degree, int, f"degree of generator {g.name!r}")
@@ -72,7 +82,7 @@ class QuiverPresentation:
         degree_of = {g.name: g.degree for g in gens}
         rels = []
         seen = set()
-        for name, terms in self.relations:
+        for name, terms in relations:
             require_type(name, str, "relation generator")
             if name not in degree_of:
                 raise FormatError(f"relation for unknown generator {name!r}")
@@ -140,33 +150,41 @@ def builtin_quiver(name: str) -> QuiverPresentation:
     raise FormatError(f"unknown builtin quiver {name!r}")
 
 
-@dataclass(frozen=True, eq=True)
-class Representation:
+class Representation(Record):
     """Graded vector space plus one graded endomorphism per generator.
 
     Generators missing from maps get the zero map of their degree.
     Structural shape is enforced here; the degree, relation, and
-    invertibility constraints are checked by first_violation.
+    invertibility constraints are checked by first_violation.  The maps
+    dict makes a representation unhashable.
     """
 
+    __slots__ = ("quiver", "space", "maps")
     quiver: QuiverPresentation
     space: GradedVectorSpace
-    maps: Mapping[str, GradedMap] = field(default_factory=dict)
+    maps: Dict[str, GradedMap]
 
-    def __post_init__(self):
-        known = {g.name for g in self.quiver.generators}
+    def __init__(
+        self,
+        quiver: QuiverPresentation,
+        space: GradedVectorSpace,
+        maps: Mapping[str, GradedMap] = MappingProxyType({}),
+    ):
+        known = {g.name for g in quiver.generators}
         out: Dict[str, GradedMap] = {}
-        for name, m in self.maps.items():
+        for name, m in maps.items():
             if name not in known:
                 raise RepresentationError(f"map for unknown generator {name!r}")
-            if m.source != self.space or m.target != self.space:
+            if m.source != space or m.target != space:
                 raise RepresentationError(
                     f"map for {name!r} must be an endomorphism of the representation space"
                 )
             out[name] = m
-        for g in self.quiver.generators:
+        for g in quiver.generators:
             if g.name not in out:
-                out[g.name] = GradedMap.zero(self.space, self.space, g.degree)
+                out[g.name] = GradedMap.zero(space, space, g.degree)
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "maps", out)
 
     def first_violation(self) -> Optional[str]:
@@ -237,8 +255,7 @@ def _require_valid_pair(v: Representation, w: Representation) -> None:
             raise RepresentationError(f"invalid representation: constraint {bad}")
 
 
-@dataclass(frozen=True)
-class HomComplexResult:
+class HomComplexResult(Record):
     """Morphism complex between two representations.
 
     summand_layout lists the summands in order: the unshifted hom space
@@ -247,9 +264,20 @@ class HomComplexResult:
     differential placeholder and only its graded dimensions are meaningful.
     """
 
+    __slots__ = ("complex", "summand_layout", "differential_defined")
     complex: CochainComplex
     summand_layout: Tuple[Tuple[str, int], ...]
     differential_defined: bool
+
+    def __init__(
+        self,
+        complex: CochainComplex,
+        summand_layout: Tuple[Tuple[str, int], ...],
+        differential_defined: bool,
+    ):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "summand_layout", summand_layout)
+        object.__setattr__(self, "differential_defined", differential_defined)
 
 
 def _hom_summands(

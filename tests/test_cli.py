@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import exacthom
+from exacthom import cli
 from exacthom.cli import main
 
 
@@ -369,3 +370,105 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 141
+
+
+class TestRepeatedMain:
+    # Each pair runs back to back in one process; the second call must not
+    # see anything the first one parsed.
+    SEQUENCE = [
+        ("homology", "builtin:torus", "--json"),
+        ("homology", "builtin:torus"),
+        ("verify", "annulus"),
+        ("classify", "builtin:genus_g:2"),
+        ("verify", "concentrated", "--seed", "5", "--count", "20"),
+        ("verify", "concentrated", "--count", "20"),
+    ]
+
+    def test_each_call_matches_a_fresh_process(self, capsys):
+        in_process = [run(capsys, *argv)[:2] for argv in self.SEQUENCE]
+        src = os.path.dirname(os.path.dirname(exacthom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        alone = []
+        for argv in self.SEQUENCE:
+            proc = subprocess.run(
+                [sys.executable, "-m", "exacthom", *argv], capture_output=True, text=True, env=env
+            )
+            alone.append((proc.returncode, proc.stdout))
+        assert in_process == alone
+        assert [code for code, _ in alone] == [0, 0, 2, 0, 0, 0]
+        # The two seeds check different numbers of spread samples, so a
+        # leaked --seed would show.
+        assert alone[4][1] != alone[5][1]
+
+
+class TestDegreeSpan:
+    """A table row per degree is refused past cli._MAX_DEGREE_SPAN degrees."""
+
+    def test_limit_is_far_above_real_inputs(self):
+        assert cli._MAX_DEGREE_SPAN == 1000
+
+    def test_homology_at_limit_prints(self, capsys, tmp_path):
+        span = cli._MAX_DEGREE_SPAN
+        path = write_json(tmp_path, {"dims": {"0": 1, str(span): 1}})
+        code, out, err = run(capsys, "homology", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("H0=1 H1=0 ") and out.endswith(f" H{span}=1 chi=2\n")
+        assert out.count("=") == span + 2
+
+    def test_homology_over_limit_refused(self, capsys, tmp_path):
+        span = cli._MAX_DEGREE_SPAN + 1
+        path = write_json(tmp_path, {"dims": {"-1": 1, str(span - 1): 1}})
+        code, out, err = run(capsys, "homology", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: degrees -1..{span - 1} span {span}, "
+            f"more than the {cli._MAX_DEGREE_SPAN} a table may list\n"
+        )
+
+    def test_cell_complex_over_limit_refused(self, capsys, tmp_path):
+        top = cli._MAX_DEGREE_SPAN + 1
+        path = write_json(tmp_path, {"cells": [{"id": "v", "dim": 0}, {"id": "c", "dim": top}]})
+        code, out, err = run(capsys, "homology", path)
+        assert (code, out) == (2, "")
+        assert f"span {top}," in err
+
+    @staticmethod
+    def _floer_file(tmp_path, top):
+        # HF of the sphere-quiver space {0: 1, top: 1} with itself lies in
+        # degrees -top..top+2, a span of 2*top + 2.
+        return write_json(tmp_path, {"quiver": "sphere", "space": {"0": 1, str(top): 1}})
+
+    def test_floer_at_limit_prints(self, capsys, tmp_path):
+        path = self._floer_file(tmp_path, cli._MAX_DEGREE_SPAN // 2 - 1)
+        code, out, err = run(capsys, "floer", path, path, "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["hf"]) == cli._MAX_DEGREE_SPAN + 1
+
+    def test_floer_over_limit_refused(self, capsys, tmp_path):
+        top = cli._MAX_DEGREE_SPAN // 2
+        path = self._floer_file(tmp_path, top)
+        code, out, err = run(capsys, "floer", path, path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: degrees {-top}..{top + 2} span {2 * top + 2}, "
+            f"more than the {cli._MAX_DEGREE_SPAN} a table may list\n"
+        )
+
+
+class TestStartup:
+    def test_import_loads_no_code_introspection_modules(self):
+        """Importing the CLI adds none of dataclasses, inspect, ast, dis or tokenize."""
+        src = os.path.dirname(os.path.dirname(exacthom.__file__))
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import exacthom.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        added = set(proc.stdout.split())
+        assert "exacthom.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
