@@ -404,7 +404,7 @@ class TestRepeatedMain:
 class TestDegreeSpan:
     """A table row per degree is refused past cli._MAX_DEGREE_SPAN degrees."""
 
-    def test_limit_is_far_above_real_inputs(self):
+    def test_limit_is_1000(self):
         assert cli._MAX_DEGREE_SPAN == 1000
 
     def test_homology_at_limit_prints(self, capsys, tmp_path):
