@@ -151,14 +151,16 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
     entry (b, a) is the coefficient of the pair a -> b.  Raises if the
     assembled boundary does not square to zero.
     """
-    ids: List[List[str]] = [[] for _ in range(cc.max_dim() + 1)]
+    ids: Dict[int, List[str]] = {}  # dimension -> cell ids, only where there are cells
     for i, d in cc._dim_of.items():
-        ids[d].append(i)
-    space = GradedVectorSpace({-d: len(of_d) for d, of_d in enumerate(ids)})
+        ids.setdefault(d, []).append(i)
+    space = GradedVectorSpace({-d: len(of_d) for d, of_d in ids.items()})
     coeff = cc._coeff_of
     blocks: Dict[int, RationalMatrix] = {}
-    for d in range(1, len(ids)):
-        sources, targets = ids[d], ids[d - 1]
+    for d, sources in ids.items():
+        targets = ids.get(d - 1)
+        if targets is None:
+            continue
         entries = [coeff.get((a, b), 0) for b in targets for a in sources]
         blocks[-d] = RationalMatrix.from_numerators(len(targets), len(sources), entries, 1)
     diff = GradedMap(space, space, 1, blocks)

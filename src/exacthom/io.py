@@ -3,9 +3,8 @@
 All scalar entries are exact: integers or strings like "3/4".  Floats are
 rejected so no rounding can sneak in, and strings must be plain ASCII
 integers or "p/q" (no spaces, underscores, exponents or decimal points).
-Names (cell ids, incidence ends, generator names, relation generators and
-word letters) must be JSON strings; a number, boolean, null or list is
-rejected rather than turned into text.
+Names and the invertible flag are passed through unchanged: the record
+constructors refuse a value of the wrong type rather than convert it.
 Parsers take decoded JSON values; load_* helpers wrap file access.
 A matrix entry is read once into an int numerator and denominator, and the
 matrix is built over the lcm of the denominators: no Fraction per entry.  A
@@ -56,12 +55,6 @@ def _int(value, what: str) -> int:
     if isinstance(value, str):
         return integer_literal(value, what)
     raise FormatError(f"{what} must be an integer, got {value!r}")
-
-
-def _name(value, what: str) -> str:
-    if isinstance(value, str):
-        return value
-    raise FormatError(f"{what} must be a string, got {json.dumps(value)}")
 
 
 def _scalar(value) -> Tuple[int, int]:
@@ -153,7 +146,7 @@ def parse_cell_complex(obj) -> CellComplex:
         e = _expect_mapping(e, "cell")
         if "id" not in e or "dim" not in e:
             raise FormatError("each cell needs 'id' and 'dim'")
-        cells.append((_name(e["id"], "cell id"), _int(e["dim"], "cell dim")))
+        cells.append((e["id"], _int(e["dim"], "cell dim")))
     incidence = []
     for e in _expect_list(mapping.get("incidence", []), "incidence"):
         if type(e) is dict:
@@ -165,11 +158,7 @@ def parse_cell_complex(obj) -> CellComplex:
         for field in ("from", "to", "coeff"):
             if field not in e:
                 raise FormatError(f"each incidence entry needs '{field}'")
-        incidence.append((
-            _name(e["from"], "incidence 'from'"),
-            _name(e["to"], "incidence 'to'"),
-            _int(e["coeff"], "coeff"),
-        ))
+        incidence.append((e["from"], e["to"], _int(e["coeff"], "coeff")))
     return CellComplex(cells, incidence)
 
 
@@ -185,11 +174,7 @@ def parse_quiver(obj) -> QuiverPresentation:
         e = _expect_mapping(entry, "generator")
         if "name" not in e or "degree" not in e:
             raise FormatError("each generator needs 'name' and 'degree'")
-        invertible = e.get("invertible", False)
-        if not isinstance(invertible, bool):
-            raise FormatError("'invertible' must be a boolean")
-        name = _name(e["name"], "generator name")
-        generators.append((name, _int(e["degree"], "degree"), invertible))
+        generators.append((e["name"], _int(e["degree"], "degree"), e.get("invertible", False)))
     relations = []
     for entry in _expect_list(mapping.get("relations", []), "relations"):
         e = _expect_mapping(entry, "relation")
@@ -200,9 +185,9 @@ def parse_quiver(obj) -> QuiverPresentation:
             t = _expect_mapping(term, "relation term")
             if "coeff" not in t or "word" not in t:
                 raise FormatError("each relation term needs 'coeff' and 'word'")
-            word = tuple(_name(x, "word letter") for x in _expect_list(t["word"], "word"))
+            word = tuple(_expect_list(t["word"], "word"))
             terms.append((_int(t["coeff"], "coeff"), word))
-        relations.append((_name(e["generator"], "relation generator"), tuple(terms)))
+        relations.append((e["generator"], tuple(terms)))
     return QuiverPresentation(tuple(generators), tuple(relations))
 
 
@@ -214,12 +199,10 @@ def parse_representation(obj) -> Representation:
             raise FormatError(f"representation object needs a '{field}' field")
     quiver = parse_quiver(mapping["quiver"])
     space = parse_graded_space(mapping["space"])
-    known = {g.name: g for g in quiver.generators}
     maps: Dict[str, GradedMap] = {}
     for name, blocks in _expect_mapping(mapping.get("maps", {}), "maps").items():
-        if name not in known:
-            raise FormatError(f"map for unknown generator {name!r}")
-        maps[name] = _parse_blocks(blocks, space, known[name].degree, f"map {name!r}")
+        degree = quiver.generator(name).degree
+        maps[name] = _parse_blocks(blocks, space, degree, f"map {name!r}")
     return Representation(quiver, space, maps)
 
 

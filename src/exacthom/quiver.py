@@ -4,11 +4,11 @@ A presentation lists loop generators with degrees, an invertibility flag,
 and the differential of each generator as a formal integer combination of
 words of length at most 2 (all the built-in categories need).  A
 representation assigns a graded vector space with zero differential and
-one graded map per generator; validity means the degree, relation, and
-invertibility constraints all hold.  A relation is checked one source
-degree at a time, on the stored blocks: each word's block is a product of
-the letters' blocks, and the terms are summed as int numerators over one
-denominator.
+one graded map per generator, and its constructor refuses one that breaks
+the degree, relation, or invertibility constraints.  A relation is checked
+one source degree at a time, on the stored blocks: each word's block is a
+product of the letters' blocks, and the terms are summed as int numerators
+over one denominator.
 
 The morphism complex of two representations is one unshifted copy of the
 graded hom space plus one copy shifted by |x|-1 per generator x.  Its
@@ -92,9 +92,9 @@ class QuiverPresentation(Record):
             clean: list = []
             for coeff, word in terms:
                 require_type(coeff, int, f"relation coefficient for {name!r}")
+                word = tuple(require_type(x, str, "word letter") for x in word)
                 if coeff == 0:
                     continue
-                word = tuple(require_type(x, str, "word letter") for x in word)
                 if not 1 <= len(word) <= 2:
                     raise FormatError("relation words must have length 1 or 2")
                 for x in word:
@@ -124,7 +124,7 @@ class QuiverPresentation(Record):
 
     def all_differentials_vanish(self) -> bool:
         """True iff dx = 0 formally for every generator."""
-        return all(not self.differential_of(g.name) for g in self.generators)
+        return all(not terms for _, terms in self.relations)
 
 
 @lru_cache(maxsize=None)
@@ -153,10 +153,10 @@ def builtin_quiver(name: str) -> QuiverPresentation:
 class Representation(Record):
     """Graded vector space plus one graded endomorphism per generator.
 
-    Generators missing from maps get the zero map of their degree.
-    Structural shape is enforced here; the degree, relation, and
-    invertibility constraints are checked by first_violation.  The maps
-    dict makes a representation unhashable.
+    Generators missing from maps get the zero map of their degree.  The
+    constructor checks the shape, then raises RepresentationError naming the
+    constraint first_violation reports, so consumers take a Representation
+    as valid.  The maps dict makes a representation unhashable.
     """
 
     __slots__ = ("quiver", "space", "maps")
@@ -186,6 +186,9 @@ class Representation(Record):
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "maps", out)
+        bad = self.first_violation()
+        if bad is not None:
+            raise RepresentationError(f"invalid representation: constraint {bad}")
 
     def first_violation(self) -> Optional[str]:
         """Name of the first failed constraint, or None if valid.
@@ -246,13 +249,9 @@ def _word_block(
     return prod
 
 
-def _require_valid_pair(v: Representation, w: Representation) -> None:
+def _require_same_quiver(v: Representation, w: Representation) -> None:
     if v.quiver != w.quiver:
         raise RepresentationError("representations live over different quivers")
-    for r in (v,) if w is v else (v, w):
-        bad = r.first_violation()
-        if bad is not None:
-            raise RepresentationError(f"invalid representation: constraint {bad}")
 
 
 class HomComplexResult(Record):
@@ -304,7 +303,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     iff every generator has formally vanishing differential (true for the
     sphere presentation, false for the torus one).
     """
-    _require_valid_pair(v, w)
+    _require_same_quiver(v, w)
     quiver = v.quiver
     u, layout, total = _hom_summands(v, w)
     defined = quiver.all_differentials_vanish()
@@ -360,7 +359,7 @@ def floer_cohomology(v: Representation, w: Representation) -> GradedVectorSpace:
 
 def euler_of_hom(v: Representation, w: Representation) -> int:
     """Euler characteristic of the morphism complex, from dimensions alone."""
-    _require_valid_pair(v, w)
+    _require_same_quiver(v, w)
     _, _, total = _hom_summands(v, w)
     return total.euler()
 

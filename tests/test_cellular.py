@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from exacthom.cellular import (
@@ -109,6 +111,21 @@ class TestChainComplex:
         )
         with pytest.raises(CellComplexError):
             chain_complex_of(cc)
+
+    def test_far_apart_dimensions_cost_no_empty_blocks(self):
+        """Only dimensions that have cells get a degree or a block."""
+        cc = CellComplex([("v", 0), ("c", 100000)])
+        tracemalloc.start()
+        try:
+            cx = chain_complex_of(cc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert cx.space.dims == {-100000: 1, 0: 1}
+        assert cx.differential.is_zero()
+        with pytest.raises(ClassificationError, match="homology nonzero in dimension 100000"):
+            classify_surface(cc)
 
 
 class TestHomology:

@@ -315,14 +315,14 @@ def _representation_doc():
     }
 
 
-# (command, document, path to one name in the document)
+# (command, document, path to one name in the document, the name's description)
 _NAME_FIELDS = [
-    ("homology", _cell_doc, ("cells", 0, "id")),
-    ("homology", _cell_doc, ("incidence", 0, "from")),
-    ("homology", _cell_doc, ("incidence", 0, "to")),
-    ("floer", _representation_doc, ("quiver", "generators", 0, "name")),
-    ("floer", _representation_doc, ("quiver", "relations", 0, "generator")),
-    ("floer", _representation_doc, ("quiver", "relations", 0, "terms", 0, "word", 0)),
+    ("homology", _cell_doc, ("cells", 0, "id"), "cell id"),
+    ("homology", _cell_doc, ("incidence", 0, "from"), "incidence 'from'"),
+    ("homology", _cell_doc, ("incidence", 0, "to"), "incidence 'to'"),
+    ("floer", _representation_doc, ("quiver", "generators", 0, "name"), "generator name"),
+    ("floer", _representation_doc, ("quiver", "relations", 0, "generator"), "relation generator"),
+    ("floer", _representation_doc, ("quiver", "relations", 0, "terms", 0, "word", 0), "word letter"),
 ]
 
 
@@ -338,9 +338,9 @@ class TestNames:
 
     @pytest.mark.parametrize("value", [1, None, True, [1]])
     @pytest.mark.parametrize(
-        "command, make, path", _NAME_FIELDS, ids=["/".join(map(str, p)) for _, _, p in _NAME_FIELDS]
+        "command, make, path, what", _NAME_FIELDS, ids=["/".join(map(str, p)) for _, _, p, _ in _NAME_FIELDS]
     )
-    def test_non_string_name_refused(self, capsys, tmp_path, command, make, path, value):
+    def test_non_string_name_refused(self, capsys, tmp_path, command, make, path, what, value):
         doc = make()
         node = doc
         for key in path[:-1]:
@@ -349,7 +349,33 @@ class TestNames:
         code, out, err = _run_doc(capsys, tmp_path, command, doc)
         assert code == 2
         assert out == ""
-        assert "must be a string" in err
+        assert err == f"error: {what} must be of type str, got {value!r}\n"
+
+    def test_letter_of_zero_coefficient_term_refused(self, capsys, tmp_path):
+        doc = _representation_doc()
+        doc["quiver"]["relations"][0]["terms"].append({"coeff": 0, "word": [5]})
+        assert _run_doc(capsys, tmp_path, "floer", doc) == (
+            2, "", "error: word letter must be of type str, got 5\n"
+        )
+
+
+def _torus_doc(m, n):
+    return {"quiver": "torus", "space": {"0": 2}, "maps": {"m": {"0": m}, "n": {"0": n}}}
+
+
+class TestInvalidRepresentation:
+    @pytest.mark.parametrize(
+        "m, n, constraint",
+        [
+            ([[1, 1], [0, 1]], [[1, 0], [1, 1]], "relation:h"),
+            ([[1, 2], [2, 4]], [[1, 0], [0, 1]], "invertibility:m"),
+        ],
+        ids=["noncommuting", "singular m"],
+    )
+    def test_floer_refuses(self, capsys, tmp_path, m, n, constraint):
+        assert _run_doc(capsys, tmp_path, "floer", _torus_doc(m, n)) == (
+            2, "", f"error: invalid representation: constraint {constraint}\n"
+        )
 
 
 class TestClosedStdout:

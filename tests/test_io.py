@@ -14,6 +14,7 @@ from exacthom.errors import (
     ExactHomError,
     FormatError,
     InvalidComplexError,
+    RepresentationError,
     ShapeError,
 )
 from exacthom.io import (
@@ -319,10 +320,16 @@ class TestFiles:
 
     def test_load_representation(self, tmp_path):
         path = write_json(
-            tmp_path, {"quiver": "torus", "space": {"0": 1}, "maps": {}}
+            tmp_path, {"quiver": "torus", "space": {"0": 1}, "maps": {"m": {"0": [[1]]}, "n": {"0": [[2]]}}}
         )
         rep = load_representation(path)
         assert rep.quiver == torus_quiver()
+        # With m and n left at zero, m is not invertible.
+        path = write_json(
+            tmp_path, {"quiver": "torus", "space": {"0": 1}, "maps": {}}, name="singular.json"
+        )
+        with pytest.raises(RepresentationError, match="^invalid representation: constraint invertibility:m$"):
+            load_representation(path)
 
     def test_homology_input_detects_cells(self, tmp_path):
         path = write_json(tmp_path, {"cells": [{"id": "p", "dim": 0}]})
@@ -369,12 +376,26 @@ VALID = {
     },
     "inline quiver": {
         "quiver": {
-            "generators": [{"name": "a", "degree": 0, "invertible": True}, {"name": "b", "degree": -1}],
-            "relations": [{"generator": "b", "terms": [{"coeff": 1, "word": ["a", "a"]}]}],
+            "generators": [
+                {"name": "a", "degree": 0, "invertible": True}, {"name": "c", "degree": 0},
+                {"name": "b", "degree": -1},
+            ],
+            "relations": [{"generator": "b", "terms": [
+                {"coeff": 1, "word": ["a", "c"]}, {"coeff": -1, "word": ["c", "a"]},
+            ]}],
         },
         "space": {"0": 1},
-        "maps": {"a": {"0": [[1]]}},
+        "maps": {"a": {"0": [[1]]}, "c": {"0": [["1/2"]]}},
     },
+}
+# Parses as far as the representation: with a = 1, the relation db = a·a fails.
+INVALID_INLINE = {
+    "quiver": {
+        "generators": [{"name": "a", "degree": 0, "invertible": True}, {"name": "b", "degree": -1}],
+        "relations": [{"generator": "b", "terms": [{"coeff": 1, "word": ["a", "a"]}]}],
+    },
+    "space": {"0": 1},
+    "maps": {"a": {"0": [[1]]}},
 }
 PARSERS = [parse_cell_complex, parse_complex, parse_representation, parse_matrix]
 
@@ -418,6 +439,10 @@ class TestParserRobustness:
     )
     def test_valid_documents_parse(self, name, parse):
         parse(VALID[name])
+
+    def test_invalid_inline_representation_refused(self):
+        with pytest.raises(RepresentationError, match="^invalid representation: constraint relation:b$"):
+            parse_representation(INVALID_INLINE)
 
     @PROPERTY
     @given(json_values)

@@ -148,9 +148,10 @@ class TestPresentations:
             ((("x", -1, False), ("a", 0, False)), (("x", (("1", ("a",)),)),)),
             ((("x", -1, False), ("a", 0, False)), (("x", ((True, ("a",)),)),)),
             ((("x", -1, False), ("0", 0, False)), (("x", ((1, (0,)),)),)),
+            ((("x", -1, False), ("5", 0, False)), (("x", ((0, (5,)),)),)),
         ],
         ids=["name", "bool degree", "str degree", "invertible", "relation generator",
-             "str coefficient", "bool coefficient", "word letter"],
+             "str coefficient", "bool coefficient", "word letter", "zero-coefficient word letter"],
     )
     def test_fields_are_not_coerced(self, generators, relations):
         with pytest.raises(FormatError):
@@ -163,6 +164,17 @@ class TestPresentations:
             )
 
 
+def constructed_violation(quiver, space, maps):
+    """The constraint the Representation constructor names, or None when it builds."""
+    prefix = "invalid representation: constraint "
+    try:
+        Representation(quiver, space, maps)
+    except RepresentationError as exc:
+        assert str(exc).startswith(prefix), exc
+        return str(exc)[len(prefix):]
+    return None
+
+
 class TestValidation:
     def test_zero_map_sphere_rep(self):
         assert sphere_rep({0: 1}, {}).first_violation() is None
@@ -172,10 +184,8 @@ class TestValidation:
         assert rep.first_violation() is None
 
     def test_noncommuting_pair_fails_relation(self):
-        rep = torus_rep(
-            {0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]}
-        )
-        assert rep.first_violation() == "relation:h"
+        with pytest.raises(RepresentationError, match="^invalid representation: constraint relation:h$"):
+            torus_rep({0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]})
 
     def test_commutator_oracle(self):
         # direct computation: ab - ba = [[1,0],[0,-1]] for these two
@@ -185,14 +195,14 @@ class TestValidation:
         assert comm.to_lists() == [[1, 0], [0, -1]]
 
     def test_singular_invertible_generator_fails(self):
-        rep = torus_rep({0: 2}, {0: [[1, 2], [2, 4]]}, {0: [[1, 0], [0, 1]]})
-        assert rep.first_violation() == "invertibility:m"
+        with pytest.raises(RepresentationError, match="^invalid representation: constraint invertibility:m$"):
+            torus_rep({0: 2}, {0: [[1, 2], [2, 4]]}, {0: [[1, 0], [0, 1]]})
 
     def test_wrong_degree_fails(self):
         space = GradedVectorSpace({0: 1})
         wrong = GradedMap.zero(space, space, 0)
-        rep = Representation(sphere_quiver(), space, {"z": wrong})
-        assert rep.first_violation() == "degree:z"
+        with pytest.raises(RepresentationError, match="^invalid representation: constraint degree:z$"):
+            Representation(sphere_quiver(), space, {"z": wrong})
 
     def test_unknown_generator_rejected(self):
         space = GradedVectorSpace({0: 1})
@@ -207,29 +217,32 @@ class TestValidation:
         assert rep.maps["z"].degree == -1
 
 
-def reference_first_violation(rep):
+def reference_first_violation(quiver, space, maps):
     """first_violation through whole graded maps, as an independent oracle.
 
-    Each word is composed as GradedMaps, the terms are scaled and added, and
-    the sum is tested with is_zero; invertibility is a rank from _rank.
+    Generators missing from maps act by zero.  Each word is composed as
+    GradedMaps, the terms are scaled and added, and the sum is tested with
+    is_zero; invertibility is a rank from _rank.
     """
-    for g in rep.quiver.generators:
-        if rep.maps[g.name].degree != g.degree:
+    maps = {g.name: maps[g.name] if g.name in maps else GradedMap.zero(space, space, g.degree)
+            for g in quiver.generators}
+    for g in quiver.generators:
+        if maps[g.name].degree != g.degree:
             return f"degree:{g.name}"
-    for name, terms in rep.quiver.relations:
+    for name, terms in quiver.relations:
         acc = None
         for coeff, word in terms:
-            m = rep.maps[word[0]]
+            m = maps[word[0]]
             for x in word[1:]:
-                m = m @ rep.maps[x]
+                m = m @ maps[x]
             m = m.scale(coeff)
             acc = m if acc is None else acc + m
         if acc is not None and not acc.is_zero():
             return f"relation:{name}"
-    for g in rep.quiver.generators:
+    for g in quiver.generators:
         if g.invertible:
-            for i in rep.space.degrees():
-                if _rank(rep.maps[g.name].block(i).to_lists()) != rep.space.dim(i):
+            for i in space.degrees():
+                if _rank(maps[g.name].block(i).to_lists()) != space.dim(i):
                     return f"invertibility:{g.name}"
     return None
 
@@ -245,8 +258,9 @@ MIXED_QUIVER = QuiverPresentation(
 )
 
 
-def random_mixed_rep(rng):
-    """MIXED_QUIVER representation, unvalidated; each of a, b, c is zero half the time."""
+def random_mixed_data(rng):
+    """Space and maps for a MIXED_QUIVER representation, not necessarily valid;
+    each of a, b, c is zero half the time."""
     space = GradedVectorSpace({d: rng.randint(0, 2) for d in (-1, 0, 1)})
     pool = (0, 1, -1, "1/2")
     maps = {}
@@ -259,18 +273,18 @@ def random_mixed_rep(rng):
             if r:
                 blocks[i] = RationalMatrix(r, c, [rng.choice(pool) for _ in range(r * c)])
         maps[g.name] = GradedMap(space, space, g.degree, blocks)
-    return Representation(MIXED_QUIVER, space, maps)
+    return space, maps
 
 
 class TestFirstViolationOracle:
-    """The block-wise first_violation against reference_first_violation."""
+    """The constraint the constructor names against reference_first_violation."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sampled_torus_reps(self, seed):
         cfg = SampleConfig(seed=seed, count=60)
         for index in range(60):
             rep = sample_representation_at(torus_quiver(), cfg, index)
-            assert rep.first_violation() == reference_first_violation(rep) is None
+            assert rep.first_violation() == reference_first_violation(rep.quiver, rep.space, rep.maps) is None
 
     def test_broken_torus_reps(self):
         rng = random.Random(5)
@@ -289,16 +303,15 @@ class TestFirstViolationOracle:
                 name, blk = "m", RationalMatrix.zero(d, d)
             else:  # h given the degree of m
                 maps = dict(rep.maps, h=rep.maps["m"])
-                broken = Representation(torus_quiver(), space, maps)
-                assert broken.first_violation() == reference_first_violation(broken) == "degree:h"
+                got = constructed_violation(torus_quiver(), space, maps)
+                assert got == reference_first_violation(torus_quiver(), space, maps) == "degree:h"
                 continue
             blocks = rep.maps[name].blocks()
             blocks[i] = blk
             maps = dict(rep.maps)
             maps[name] = GradedMap(space, space, 0, blocks)
-            broken = Representation(torus_quiver(), space, maps)
-            got = broken.first_violation()
-            assert got == reference_first_violation(broken)
+            got = constructed_violation(torus_quiver(), space, maps)
+            assert got == reference_first_violation(torus_quiver(), space, maps)
             seen.add(got)
         assert {"relation:h", "invertibility:m"} <= seen
 
@@ -306,9 +319,9 @@ class TestFirstViolationOracle:
         rng = random.Random(17)
         seen = set()
         for _ in range(300):
-            rep = random_mixed_rep(rng)
-            got = rep.first_violation()
-            assert got == reference_first_violation(rep)
+            space, maps = random_mixed_data(rng)
+            got = constructed_violation(MIXED_QUIVER, space, maps)
+            assert got == reference_first_violation(MIXED_QUIVER, space, maps)
             seen.add(got)
         assert {None, "relation:c", "relation:b", "invertibility:u"} <= seen
 
@@ -341,9 +354,9 @@ class TestHomComplex:
             hom_complex(zero_section_representation(), torus_trivial_representation())
 
     def test_invalid_input_rejected(self):
-        bad = torus_rep({0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]})
-        with pytest.raises(RepresentationError):
-            hom_complex(bad, bad)
+        # A representation hom_complex could be handed is refused when built.
+        with pytest.raises(RepresentationError, match="constraint relation:h$"):
+            torus_rep({0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]})
 
     def test_each_distinct_representation_validated_once(self, monkeypatch):
         checked = []
@@ -356,16 +369,18 @@ class TestHomComplex:
         monkeypatch.setattr(Representation, "first_violation", counted)
         v = sphere_rep({0: 1, 1: 1}, {1: [[1]]})
         w = sphere_rep({0: 1}, {})
+        assert [id(r) for r in checked] == [id(v), id(w)]
         hom_complex(v, v)
-        assert checked == [v]
         hom_complex(v, w)
-        assert checked == [v, v, w]
+        euler_of_hom(w, v)
+        floer_cohomology(v, w)
+        assert [id(r) for r in checked] == [id(v), id(w)]
 
     def test_invalid_second_representation_rejected(self):
         good = torus_rep({0: 2}, {0: [[1, 0], [0, 1]]}, {0: [[1, 0], [0, 1]]})
-        bad = torus_rep({0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]})
-        with pytest.raises(RepresentationError):
-            hom_complex(good, bad)
+        assert good.first_violation() is None
+        with pytest.raises(RepresentationError, match="constraint relation:h$"):
+            torus_rep({0: 2}, {0: [[1, 1], [0, 1]]}, {0: [[1, 0], [1, 1]]})
 
     def test_differential_against_hand_assembly(self):
         """Oracle: assemble every block of the differential by hand for the

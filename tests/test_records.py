@@ -27,7 +27,7 @@ from exacthom import (
     zero_section_representation,
 )
 from exacthom.cellular import Incidence
-from exacthom.errors import ClassificationError, FormatError
+from exacthom.errors import ClassificationError, FormatError, RepresentationError
 
 SPHERE_REPR = (
     "QuiverPresentation(generators=(Generator(name='z', degree=-1, invertible=False),), "
@@ -199,7 +199,10 @@ def test_defaults():
     assert TheoremReport("t", 0).violations == ()
     rep = Representation(sphere_quiver(), GradedVectorSpace({0: 1}))
     assert rep.maps == zero_section_representation().maps
-    assert set(Representation(torus_quiver(), GradedVectorSpace({0: 1})).maps) == {"m", "n", "h"}
+    assert set(Representation(torus_quiver(), GradedVectorSpace({})).maps) == {"m", "n", "h"}
+    # On a nonzero space the default m = 0 is not invertible.
+    with pytest.raises(RepresentationError, match="constraint invertibility:m$"):
+        Representation(torus_quiver(), GradedVectorSpace({0: 1}))
 
 
 def test_constructor_checks_still_run():
