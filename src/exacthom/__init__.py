@@ -5,7 +5,7 @@ and morphism-complex cohomology of quiver dg-representations, all over
 exact rational coefficients.
 """
 
-from .rational import Rational, RationalMatrix, block_diag
+from .rational import RationalMatrix, block_diag
 from .graded import (
     GradedMap,
     GradedVectorSpace,
@@ -65,7 +65,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "RationalMatrix",
     "block_diag",
     "GradedVectorSpace",

@@ -144,39 +144,37 @@ def sample_representation_at(
     polynomial in m (commutation for free) or, on every third index, as a
     member of the diagonal-pair family; h is drawn freely in degree -1.
     """
-    if quiver == sphere_quiver():
-        rng = _rng_for(cfg, index)
-        space = _sample_space(rng, cfg)
-        f = _sample_degree_map(rng, space, -1)
-        return Representation(quiver, space, {"z": f})
-    if quiver == torus_quiver():
-        rng = _rng_for(cfg, index)
-        space = _sample_space(rng, cfg)
-        alpha_blocks: Dict[int, RationalMatrix] = {}
-        beta_blocks: Dict[int, RationalMatrix] = {}
-        diagonal_family = index % 3 == 2
-        for i in space.degrees():
-            d = space.dim(i)
-            if diagonal_family:
-                a = _diagonal(rng, d)
-                b = _diagonal(rng, d)
-            else:
-                a = _sample_invertible(rng, d)
-                b = _sample_polynomial_in(rng, a)
-            alpha_blocks[i] = a
-            beta_blocks[i] = b
-        gamma = _sample_degree_map(rng, space, -1)
-        return Representation(
-            quiver,
-            space,
-            {
-                "m": GradedMap(space, space, 0, alpha_blocks),
-                "n": GradedMap(space, space, 0, beta_blocks),
-                "h": gamma,
-            },
+    sphere = quiver == sphere_quiver()
+    if not sphere and quiver != torus_quiver():
+        raise RepresentationError(
+            "sampling supports only the builtin sphere and torus quivers"
         )
-    raise RepresentationError(
-        "sampling supports only the builtin sphere and torus quivers"
+    rng = _rng_for(cfg, index)
+    space = _sample_space(rng, cfg)
+    if sphere:
+        return Representation(quiver, space, {"z": _sample_degree_map(rng, space, -1)})
+    alpha_blocks: Dict[int, RationalMatrix] = {}
+    beta_blocks: Dict[int, RationalMatrix] = {}
+    diagonal_family = index % 3 == 2
+    for i in space.degrees():
+        d = space.dim(i)
+        if diagonal_family:
+            a = _diagonal(rng, d)
+            b = _diagonal(rng, d)
+        else:
+            a = _sample_invertible(rng, d)
+            b = _sample_polynomial_in(rng, a)
+        alpha_blocks[i] = a
+        beta_blocks[i] = b
+    gamma = _sample_degree_map(rng, space, -1)
+    return Representation(
+        quiver,
+        space,
+        {
+            "m": GradedMap(space, space, 0, alpha_blocks),
+            "n": GradedMap(space, space, 0, beta_blocks),
+            "h": gamma,
+        },
     )
 
 
@@ -259,30 +257,24 @@ def commuting_invertible_pairs(
     return tuple((a, invertible[j]) for a, row in zip(invertible, partners) for j in row)
 
 
-def _degree_map_slots(
-    space: GradedVectorSpace, degree: int
-) -> List[Tuple[int, int, int]]:
-    return [
-        (i, space.dim(i + degree), space.dim(i))
-        for i in space.degrees()
-        if space.dim(i + degree) > 0
-    ]
+def _degree_minus_one_maps(
+    space: GradedVectorSpace, pool: Tuple[Scalar, ...]
+) -> Iterator[GradedMap]:
+    """Every degree -1 endomorphism of space with entries in pool: the
+    product, in ascending source degree, of enumerate_matrices per block."""
+    slots = [i for i in space.degrees() if space.dim(i - 1) > 0]
+    blocks = [enumerate_matrices(space.dim(i - 1), space.dim(i), pool) for i in slots]
+    for choice in itertools.product(*blocks):
+        yield GradedMap(space, space, -1, dict(zip(slots, choice)))
 
 
 def enumerate_sphere_representations() -> Iterator[Representation]:
     """Every sphere-quiver representation of total dimension 1..2 in
     degrees -2..2 with z-entries in {-1, 0, 1}: 28 of them."""
-    pool = (-1, 0, 1)
     quiver = sphere_quiver()
     for space in enumerate_spaces(2, (-2, 2)):
-        slots = _degree_map_slots(space, -1)
-        for choice in itertools.product(
-            *[enumerate_matrices(r, c, pool) for _, r, c in slots]
-        ):
-            blocks = {i: m for (i, _, _), m in zip(slots, choice)}
-            yield Representation(
-                quiver, space, {"z": GradedMap(space, space, -1, blocks)}
-            )
+        for z in _degree_minus_one_maps(space, (-1, 0, 1)):
+            yield Representation(quiver, space, {"z": z})
 
 
 def enumerate_torus_representations() -> Iterator[Representation]:
@@ -293,23 +285,12 @@ def enumerate_torus_representations() -> Iterator[Representation]:
     for space in enumerate_spaces(2, (-1, 1)):
         degrees = space.degrees()
         pair_families = [commuting_invertible_pairs(space.dim(i), pool) for i in degrees]
-        gamma_slots = _degree_map_slots(space, -1)
+        h_maps = tuple(_degree_minus_one_maps(space, pool))
         for pairs in itertools.product(*pair_families):
-            alpha = {i: p[0] for i, p in zip(degrees, pairs)}
-            beta = {i: p[1] for i, p in zip(degrees, pairs)}
-            for gamma_choice in itertools.product(
-                *[enumerate_matrices(r, c, pool) for _, r, c in gamma_slots]
-            ):
-                gamma = {i: m for (i, _, _), m in zip(gamma_slots, gamma_choice)}
-                yield Representation(
-                    quiver,
-                    space,
-                    {
-                        "m": GradedMap(space, space, 0, alpha),
-                        "n": GradedMap(space, space, 0, beta),
-                        "h": GradedMap(space, space, -1, gamma),
-                    },
-                )
+            m = GradedMap(space, space, 0, {i: p[0] for i, p in zip(degrees, pairs)})
+            n = GradedMap(space, space, 0, {i: p[1] for i, p in zip(degrees, pairs)})
+            for h in h_maps:
+                yield Representation(quiver, space, {"m": m, "n": n, "h": h})
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +402,8 @@ def check_torus_theorem(cfg: SampleConfig) -> TheoremReport:
     )
 
 
-_CHECKS = {
+# The theorems verify takes; argparse lists them in this order.
+CHECKS = {
     "sphere": check_sphere_theorem,
     "torus": check_torus_theorem,
     "concentrated": check_concentrated_lemma,
@@ -429,6 +411,6 @@ _CHECKS = {
 
 
 def run_check(theorem: str, cfg: SampleConfig) -> TheoremReport:
-    if theorem not in _CHECKS:
+    if theorem not in CHECKS:
         raise FormatError(f"unknown theorem {theorem!r}")
-    return _CHECKS[theorem](cfg)
+    return CHECKS[theorem](cfg)

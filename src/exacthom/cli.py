@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .cellular import CellComplex, builtin as builtin_cell
-from .cellular import chain_complex_of, classify_surface
-from .classify import SampleConfig, run_check
+from .cellular import classify_surface, homology_of
+from .classify import CHECKS, SampleConfig, run_check
 from .complexes import CochainComplex
 from .errors import ClassificationError, ExactHomError, FormatError
 from .io import load_homology_input, load_cell_complex, load_representation
@@ -86,15 +86,13 @@ def _emit(args, text: str, payload) -> None:
 def cmd_homology(args) -> int:
     target = _resolve_homology_input(args.source)
     if isinstance(target, CellComplex):
-        # chain degree i is cochain degree -i
-        degrees, sign = _degree_range((0, target.max_dim())), -1
-        complex_ = chain_complex_of(target)
+        degrees = _degree_range((0, target.max_dim()))
+        h = homology_of(target)
     else:
-        complex_ = target
-        degrees, sign = _degree_range(complex_.space.degrees()), 1
-    h = complex_.cohomology()
-    chi = complex_.euler_from_dims()
-    table = {i: h.dim(sign * i) for i in degrees}
+        degrees = _degree_range(target.space.degrees())
+        h = target.cohomology()
+    chi = h.euler()
+    table = {i: h.dim(i) for i in degrees}
     text = " ".join(f"H{i}={d}" for i, d in table.items()) + f" chi={chi}"
     _emit(args, text, {"homology": {str(i): d for i, d in table.items()}, "euler": chi})
     return 0
@@ -185,7 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_floer)
 
     p = sub.add_parser("verify", help="run a classification sweep")
-    p.add_argument("theorem", choices=("sphere", "torus", "concentrated"))
+    p.add_argument("theorem", choices=CHECKS)
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--count", type=int, default=100, help="number of samples (default 100)")
     p.add_argument("--max-dim", dest="max_dim", type=int, default=3,

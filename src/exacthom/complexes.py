@@ -24,10 +24,9 @@ class CochainComplex:
     """Graded space with a degree +1 differential.
 
     The differential is checked to square to zero once, on construction.
-    Cohomology is computed once and cached.
     """
 
-    __slots__ = ("space", "differential", "_cohomology")
+    __slots__ = ("space", "differential")
 
     def __init__(self, space: GradedVectorSpace, differential: GradedMap):
         if differential.degree != 1:
@@ -40,7 +39,6 @@ class CochainComplex:
         self.differential = differential
         if not self.validate():
             raise InvalidComplexError("differential does not square to zero")
-        self._cohomology = None
 
     @classmethod
     def zero_differential(cls, space: GradedVectorSpace) -> "CochainComplex":
@@ -51,19 +49,16 @@ class CochainComplex:
         return (self.differential @ self.differential).is_zero()
 
     def cohomology(self) -> GradedVectorSpace:
-        """dim H^n = dim C^n - rank d^n - rank d^{n-1}; computed once, then cached.
+        """dim H^n = dim C^n - rank d^n - rank d^{n-1}.
 
         Only stored blocks are ranked: a missing block is zero, of rank 0.
-        The cached space is immutable; its dims property returns a copy.
         """
-        if self._cohomology is None:
-            ranks = {i: b.rank() for i, b in self.differential.blocks().items()}
-            dims = {
-                n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
-                for n in self.space.degrees()
-            }
-            self._cohomology = GradedVectorSpace(dims)
-        return self._cohomology
+        ranks = {i: b.rank() for i, b in self.differential.blocks().items()}
+        dims = {
+            n: self.space.dim(n) - ranks.get(n, 0) - ranks.get(n - 1, 0)
+            for n in self.space.degrees()
+        }
+        return GradedVectorSpace(dims)
 
     def euler_from_dims(self) -> int:
         """Alternating sum of the chain dimensions."""

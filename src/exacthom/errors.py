@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the input checks that raise one."""
 
 import re
+from typing import Tuple
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class ExactHomError(Exception):
@@ -52,3 +54,17 @@ def integer_literal(text: str, what: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise FormatError(f"{what} must be an integer, got {text!r}")
+
+
+def rational_literal(text: str) -> Tuple[int, int]:
+    """(p, q) with text == p/q and q > 0, not reduced, for a plain ASCII
+    literal [+-]?[0-9]+(/[0-9]+)?, else FormatError."""
+    if _RATIONAL.fullmatch(text):
+        p, _, q = text.partition("/")
+        try:
+            p, q = int(p), int(q or 1)
+        except ValueError:  # more digits than int() converts
+            q = 0
+        if q:
+            return p, q
+    raise FormatError(f"bad rational literal {text!r}")

@@ -14,18 +14,16 @@ cell or incidence entry whose fields have the exact types passes one check.
 from __future__ import annotations
 
 import json
-import re
 from math import lcm
 from typing import Dict, List, Tuple, Union
 
 from .cellular import CellComplex
 from .complexes import CochainComplex
-from .errors import FormatError, ShapeError, integer_literal
+from .errors import FormatError, ShapeError, integer_literal, rational_literal
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import QuiverPresentation, Representation, builtin_quiver
 from .rational import RationalMatrix
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def load_document(path: str):
     try:
@@ -62,15 +60,7 @@ def _scalar(value) -> Tuple[int, int]:
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value), 1
     if isinstance(value, str):
-        if _RATIONAL.fullmatch(value):
-            p, _, q = value.partition("/")
-            try:
-                p, q = int(p), int(q or 1)
-            except ValueError:  # more digits than int() converts
-                q = 0
-            if q:
-                return p, q
-        raise FormatError(f"bad rational literal {value!r}")
+        return rational_literal(value)
     raise FormatError(f"matrix entries must be exact (int or 'p/q'), got {value!r}")
 
 

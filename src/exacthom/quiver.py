@@ -115,13 +115,6 @@ class QuiverPresentation(Record):
                 return g
         raise FormatError(f"unknown generator {name!r}")
 
-    def differential_of(self, name: str) -> Tuple[Term, ...]:
-        self.generator(name)
-        for rel_name, terms in self.relations:
-            if rel_name == name:
-                return terms
-        return ()
-
     def all_differentials_vanish(self) -> bool:
         """True iff dx = 0 formally for every generator."""
         return all(not terms for _, terms in self.relations)

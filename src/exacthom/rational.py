@@ -18,21 +18,21 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import ShapeError
-
-Rational = Fraction
+from .errors import ShapeError, rational_literal
 
 Scalar = Union[Fraction, int, str]
 
 
 def rat(value: Scalar) -> Fraction:
-    """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction."""
+    """Coerce an int, a Fraction, or a string read by rational_literal to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ShapeError("booleans are not rational scalars")
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(*rational_literal(value))
     raise ShapeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -69,7 +69,6 @@ class TestHomology:
 
     def test_cell_file_builds_one_complex(self, capsys, tmp_path, monkeypatch):
         import exacthom.cellular
-        import exacthom.cli
 
         calls = []
         build = exacthom.cellular.chain_complex_of
@@ -78,7 +77,6 @@ class TestHomology:
             calls.append(cc)
             return build(cc)
 
-        monkeypatch.setattr(exacthom.cli, "chain_complex_of", counted)
         monkeypatch.setattr(exacthom.cellular, "chain_complex_of", counted)
         path = write_json(
             tmp_path,

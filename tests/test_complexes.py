@@ -67,10 +67,6 @@ class TestCheckOnce:
         assert c.euler_from_cohomology() == c.euler_from_dims()
         assert len(products) == 1
 
-    def test_cohomology_is_cached(self):
-        c = surface_complex(2)
-        assert c.cohomology() is c.cohomology()
-
     def test_cached_cohomology_cannot_be_mutated(self):
         c = surface_complex(1)
         c.cohomology().dims[0] = 99

@@ -31,7 +31,7 @@ from exacthom.io import (
     parse_representation,
 )
 from exacthom.quiver import sphere_quiver, torus_quiver
-from exacthom.rational import RationalMatrix
+from exacthom.rational import RationalMatrix, rat
 
 # Deterministic and bounded, so the suite runs the same examples every time.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -153,6 +153,18 @@ class TestIntegerParse:
         assert parsed == reference_parse_matrix(rows)
         assert parsed.to_lists() == [[reference_scalar(x) for x in row] for row in rows]
 
+    @PROPERTY
+    @given(st.one_of(st.text(), literals))
+    @example("1/0")
+    @example("0.5")
+    def test_library_and_file_read_a_string_alike(self, text):
+        try:
+            value = rat(text)
+        except FormatError as exc:
+            assert outcome(parse_matrix, [[text]]) == f"FormatError: {exc}"
+        else:
+            assert parse_matrix([[text]]) == RationalMatrix(1, 1, [value])
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -265,7 +277,7 @@ class TestQuiver:
         }
         q = parse_quiver(doc)
         assert q.generator("a").invertible
-        assert q.differential_of("b") == ((1, ("a", "a")),)
+        assert dict(q.relations)["b"] == ((1, ("a", "a")),)
 
     def test_unknown_relation_generator(self):
         doc = {

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from exacthom.errors import ShapeError
+from exacthom.errors import FormatError, ShapeError
 from exacthom.rational import RationalMatrix, block_diag, rat
 
 
@@ -242,6 +242,15 @@ class TestInvertible:
     def test_empty_matrix_is_invertible(self):
         # the unique map on the zero space is its own inverse
         assert RationalMatrix.zero(0, 0).is_invertible()
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", " 1/2 ", "1_0", "\u0661", "abc", "1/0", "3/-4"])
+def test_library_strings_follow_the_file_rule(text):
+    message = f"bad rational literal {text!r}"
+    for convert in (rat, lambda s: RationalMatrix(1, 1, [s]), RationalMatrix.identity(1).scale):
+        with pytest.raises(FormatError) as exc:
+            convert(text)
+        assert str(exc.value) == message
 
 
 def test_exact_arithmetic_no_drift():
