@@ -6,9 +6,8 @@ words of length at most 2 (all the built-in categories need).  A
 representation assigns a graded vector space with zero differential and
 one graded map per generator, and its constructor refuses one that breaks
 the degree, relation, or invertibility constraints.  A relation is checked
-one source degree at a time, on the stored blocks: each word's block is a
-product of the letters' blocks, and the terms are summed as int numerators
-over one denominator.
+one source degree at a time, on the stored blocks' int numerators: each
+word's product is added straight into one sum over a common denominator.
 
 The morphism complex of two representations is one unshifted copy of the
 graded hom space plus one copy shifted by |x|-1 per generator x.  Its
@@ -23,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ._record import Record
 from .complexes import CochainComplex
@@ -33,7 +32,7 @@ from .errors import (
     UnsupportedDifferentialError,
     require_type,
 )
-from .graded import GradedMap, GradedVectorSpace, hom_block_layout, hom_space
+from .graded import GradedMap, GradedVectorSpace, hom_block_layout
 # Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
 from .graded import hom_basis, hom_coordinates  # noqa: F401
 from .rational import RationalMatrix
@@ -188,58 +187,92 @@ class Representation(Record):
 
         Checks every generator's degree, then each relation in order, then
         the invertibility of every block of every invertible generator.  A
-        relation is checked one source degree i at a time: each word's block
-        at i is the product of its letters' blocks, a letter without a block
-        there making the term zero, and the terms' numerators are summed
-        over the lcm of their denominators.
+        relation is checked one source degree i at a time, on the stored
+        blocks' int numerators: each word's block at i, scaled to the lcm of
+        the terms' denominators, is added into one accumulator (a letter
+        without a block there making the term zero), and the relation holds
+        at i iff the accumulator is all zero.
         """
         for g in self.quiver.generators:
             if self.maps[g.name].degree != g.degree:
                 return f"degree:{g.name}"
-        blocks = {name: m.blocks() for name, m in self.maps.items()}
+        blocks = {name: m._blocks for name, m in self.maps.items()}
         degree_of = {g.name: g.degree for g in self.quiver.generators}
+        degrees = self.space.degrees()
         for name, terms in self.quiver.relations:
-            for i in self.space.degrees():
-                products = [
-                    (coeff, p)
+            if not terms:
+                continue
+            for i in degrees:
+                words = [
+                    (coeff, letters)
                     for coeff, word in terms
-                    if (p := _word_block(blocks, degree_of, word, i)) is not None
+                    if (letters := _word_letters(blocks, degree_of, word, i)) is not None
                 ]
-                if not products:
-                    continue
-                den = lcm(*[p.denominator for _, p in products])
-                scaled = [
-                    [coeff * (den // p.denominator) * x for x in p.numerators]
-                    for coeff, p in products
-                ]
-                if any(map(sum, zip(*scaled))):
+                if words and any(_relation_sum(words)):
                     return f"relation:{name}"
         for g in self.quiver.generators:
             if not g.invertible:
                 continue
-            rho = self.maps[g.name]
-            for i in self.space.degrees():
-                if not rho.block(i).is_invertible():
+            stored = blocks[g.name]
+            for i in degrees:
+                b = stored.get(i)
+                if b is None or not b.is_invertible():
                     return f"invertibility:{g.name}"
         return None
 
 
-def _word_block(
+def _word_letters(
     blocks: Mapping[str, Mapping[int, RationalMatrix]],
     degree_of: Mapping[str, int],
     word: Word,
     i: int,
-) -> Optional[RationalMatrix]:
-    """Block at source degree i of the composite of word, last letter applied
-    first; None where a letter has no block, that is, where the composite is 0."""
-    prod = None
+) -> Optional[Tuple[Tuple[RationalMatrix, ...], int]]:
+    """Blocks the letters of word act by, from source degree i, in the order
+    they are applied (last letter first), and the product of their
+    denominators; None where a letter has no block, that is, where the
+    composite is 0."""
+    out = []
+    den = 1
     for x in reversed(word):
         b = blocks[x].get(i)
         if b is None:
             return None
-        prod = b if prod is None else b @ prod
+        out.append(b)
+        den *= b.denominator
         i += degree_of[x]
-    return prod
+    return tuple(out), den
+
+
+def _relation_sum(words: List[Tuple[int, Tuple[Tuple[RationalMatrix, ...], int]]]) -> List[int]:
+    """Numerators of sum coeff * composite over (coeff, (letter blocks, den))
+    words, over the lcm of their dens.
+
+    Words have one or two letters and share one shape.  A two-letter
+    product is added entry by entry into the sum, multiplying only nonzero
+    factors, with no matrix built for it.
+    """
+    den = lcm(*[d for _, (_, d) in words])
+    first = words[0][1][0]
+    cols = first[0].cols
+    acc = [0] * (first[-1].rows * cols)
+    for coeff, (letters, d) in words:
+        scale = coeff * (den // d)
+        if len(letters) == 1:
+            for j, x in enumerate(letters[0].numerators):
+                if x:
+                    acc[j] += scale * x
+            continue
+        right, left = letters
+        inner, rnums = right.rows, right.numerators
+        for j, x in enumerate(left.numerators):
+            if x:
+                r, t = divmod(j, inner)
+                x *= scale
+                base = r * cols
+                for c, y in enumerate(rnums[t * cols : (t + 1) * cols]):
+                    if y:
+                        acc[base + c] += x * y
+    return acc
 
 
 def _require_same_quiver(v: Representation, w: Representation) -> None:
@@ -274,13 +307,18 @@ class HomComplexResult(Record):
 
 def _hom_summands(
     v: Representation, w: Representation
-) -> Tuple[GradedVectorSpace, Tuple[Tuple[str, int], ...], GradedVectorSpace]:
-    u = hom_space(v.space, w.space)
+) -> Tuple[Dict[int, int], Tuple[Tuple[str, int], ...], GradedVectorSpace]:
+    """Dimensions of the hom space by degree, the summand layout, and the
+    total space: dim hom^d is the sum over i of dim V^i * dim W^{i+d}."""
+    u: Dict[int, int] = {}
+    w_dims = w.space.dims
+    for i, a in v.space.dims.items():
+        for j, b in w_dims.items():
+            u[j - i] = u.get(j - i, 0) + a * b
     layout = (("id", 0),) + tuple((g.name, g.degree - 1) for g in v.quiver.generators)
-    u_dims = u.dims
     dims: Dict[int, int] = {}
     for _, shift in layout:
-        for d, n in u_dims.items():
+        for d, n in u.items():
             dims[d - shift] = dims.get(d - shift, 0) + n
     return u, layout, GradedVectorSpace(dims)
 
@@ -315,7 +353,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
 
     gens = [(e, over_den(wb), over_den(vb)) for e, wb, vb in maps]
     # The basis of hom^d is empty exactly where u has no dimension.
-    basis = {d: hom_block_layout(v.space, w.space, d) for d in u.degrees()}
+    basis = {d: hom_block_layout(v.space, w.space, d) for d in u}
     blocks: Dict[int, RationalMatrix] = {}
     for p in total.degrees():
         rows_dim = total.dim(p + 1)
@@ -323,7 +361,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
             continue
         cols_dim = total.dim(p)
         out = [0] * (rows_dim * cols_dim)
-        off = u.dim(p + 1)
+        off = u.get(p + 1, 0)
         for e, w_blocks, v_blocks in gens:
             pos = {key: off + k for k, key in enumerate(basis.get(p + e, ()))}
             sign = -1 if (p * e) % 2 else 1
@@ -334,7 +372,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
                     out[pos[i, a, c] * cols_dim + col] += g[a * g_cols + r]
                 for b in range(f_cols):
                     out[pos[i - e, r, b] * cols_dim + col] -= sign * f[c * f_cols + b]
-            off += u.dim(p + e)
+            off += u.get(p + e, 0)
         blocks[p] = RationalMatrix.from_numerators(rows_dim, cols_dim, out, den)
     diff = GradedMap(total, total, 1, blocks)
     return HomComplexResult(CochainComplex(total, diff), layout, True)

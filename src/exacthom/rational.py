@@ -42,9 +42,11 @@ class RationalMatrix:
     Stored as a row-major tuple of int numerators over one positive
     denominator, kept canonical: gcd(denominator, *numerators) == 1, so the
     zero matrix has denominator 1 and equal matrices have equal fields.
+    The rank is computed at most once and kept in the _rank slot (None
+    until then); it takes no part in equality.
     """
 
-    __slots__ = ("rows", "cols", "numerators", "denominator")
+    __slots__ = ("rows", "cols", "numerators", "denominator", "_rank")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         if rows < 0 or cols < 0:
@@ -61,6 +63,7 @@ class RationalMatrix:
         self.cols = cols
         self.numerators = tuple(x.numerator * (den // x.denominator) for x in data)
         self.denominator = den
+        self._rank = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, nums: tuple[int, ...], den: int) -> "RationalMatrix":
@@ -70,6 +73,7 @@ class RationalMatrix:
         m.cols = cols
         m.numerators = nums
         m.denominator = den
+        m._rank = None
         return m
 
     @classmethod
@@ -276,7 +280,10 @@ class RationalMatrix:
         computed under, and is brought up to date (times prev, divided by
         that pivot, again exact) only when it next meets a nonzero a.  A
         sparse matrix thus costs work only on the rows each pivot touches.
+        The result is kept, so a matrix is eliminated at most once.
         """
+        if self._rank is not None:
+            return self._rank
         nums, n = self.numerators, self.cols
         # (start, pivot, entries): entries[j] is column start + j, and the
         # row's current Bareiss value is entries * prev // pivot.
@@ -316,6 +323,7 @@ class RationalMatrix:
             rows = kept
             prev = p
             rank += 1
+        self._rank = rank
         return rank
 
     def kernel_basis(self) -> "RationalMatrix":

@@ -80,3 +80,34 @@ def test_tracer_counts_file_loads_and_chain_complexes(tmp_path):
     assert metrics["io.parse.calls"] == 4  # the surface twice, the representation twice
     assert metrics["cellular.chain_complex.calls"] == 2
     assert metrics["quiver.hom_complex.calls"] == 1
+
+
+SWEEP = ["--seed", "1", "--count", "200", "--max-dim", "4"]
+
+
+def test_sphere_sweep_builds_one_hom_complex_per_distinct_self_pair():
+    from exacthom.classify import SampleConfig, enumerate_sphere_representations, sample_representation_at
+    from exacthom.quiver import sphere_quiver
+
+    cfg = SampleConfig(seed=1, count=200, max_total_dim=4)
+    reps = [*enumerate_sphere_representations(),
+            *(sample_representation_at(sphere_quiver(), cfg, i) for i in range(200))]
+    distinct = {(rep.space, rep.maps["z"]) for rep in reps}
+    assert len(reps) == 228 > len(distinct)
+    result = traced([["verify", "sphere", *SWEEP]])
+    assert result["runs"][0]["code"] == 0
+    assert result["metrics"]["quiver.hom_complex.calls"] == len(distinct)
+
+
+def test_concentrated_sweep_samples_only_spread_spaces():
+    from exacthom.classify import SampleConfig, sample_representation_at
+    from exacthom.quiver import sphere_quiver
+
+    cfg = SampleConfig(seed=1, count=200, max_total_dim=4)
+    spread = sum(
+        len(sample_representation_at(sphere_quiver(), cfg, i).space.degrees()) > 1 for i in range(200)
+    )
+    assert 0 < spread < 200
+    result = traced([["verify", "concentrated", *SWEEP, "--json"]])
+    assert json.loads(result["runs"][0]["out"])["checked"] == spread
+    assert result["metrics"]["classify.sample.calls"] == spread

@@ -1,3 +1,4 @@
+import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -6,6 +7,10 @@ import pytest
 import exacthom.classify
 from exacthom.classify import (
     SampleConfig,
+    TheoremReport,
+    _draw,
+    _draw_space,
+    _self_pair_violations,
     check_concentrated_lemma,
     check_sphere_theorem,
     check_torus_theorem,
@@ -86,6 +91,13 @@ class TestSampling:
         for i, rep in enumerate(stream):
             assert sample_representation_at(sphere_quiver(), cfg, i) == rep
 
+    @pytest.mark.parametrize("quiver", [sphere_quiver(), torus_quiver()])
+    def test_drawn_start_continues_the_stream(self, quiver):
+        cfg = SampleConfig(seed=21, count=30, max_total_dim=4)
+        for i in range(30):
+            start = _draw_space(cfg, i)
+            assert sample_representation_at(quiver, cfg, i, start) == sample_representation_at(quiver, cfg, i)
+
     def test_parallel_equals_serial(self):
         cfg = SampleConfig(seed=13, count=32)
         serial = [sample_representation_at(torus_quiver(), cfg, i) for i in range(32)]
@@ -105,6 +117,20 @@ class TestSampling:
             spreads.add(max(degs) - min(degs))
         assert 0 in spreads
         assert any(s >= 1 for s in spreads)
+
+
+class TestDraw:
+    """_draw against the Random methods it replaces, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 43, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 33])
+    def test_matches_choice_and_randint(self, seed, n):
+        pool = tuple(range(100, 100 + n))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(4):  # alternate, so the two streams must stay aligned
+            assert [pool[r] for r in _draw(ours, n, 200)] == [theirs.choice(pool) for _ in range(200)]
+            assert [-3 + r for r in _draw(ours, n, 200)] == [theirs.randint(-3, n - 4) for _ in range(200)]
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestEnumeration:
@@ -247,3 +273,95 @@ class TestChecksCanFail:
         assert len(check_sphere_theorem(cfg).violations) == 28 + 10
         report = check_concentrated_lemma(cfg)
         assert len(report.violations) == report.samples_checked > 0
+
+
+def sweep_reps(theorem, cfg):
+    """(label, rep) for every representation a sphere-quiver sweep checks."""
+    samples = [(f"sample:{i}", sample_representation_at(sphere_quiver(), cfg, i)) for i in range(cfg.count)]
+    if theorem == "concentrated":
+        return [(label, rep) for label, rep in samples if len(rep.space.degrees()) > 1]
+    exhaustive = [(f"exhaustive:{j}", rep) for j, rep in enumerate(enumerate_sphere_representations())]
+    return exhaustive + samples
+
+
+def reference_report(theorem, cfg):
+    """The sweep as a plain loop: floer_cohomology for every representation."""
+    reps = sweep_reps(theorem, cfg)
+    violations = [
+        v
+        for label, rep in reps
+        for v in _self_pair_violations(rep.space, exacthom.classify.floer_cohomology(rep, rep), label)
+    ]
+    return TheoremReport(theorem, len(reps), tuple(violations))
+
+
+def content(rep):
+    return rep.space, rep.maps["z"]
+
+
+class TestHFTable:
+    """The per-sweep HF(V, V) table changes no report."""
+
+    CHECKS = {"sphere": check_sphere_theorem, "concentrated": check_concentrated_lemma}
+
+    @pytest.fixture(params=["true", "skewed"])
+    def hf(self, request, monkeypatch):
+        """floer_cohomology as it is, or made to break duality where z has
+        an odd number of nonzero entries, so that reports carry violations."""
+        if request.param == "skewed":
+            true = floer_cohomology
+
+            def skew(v, w):
+                odd = sum(x != 0 for b in v.maps["z"].blocks().values() for x in b.numerators) % 2
+                dims = dict(true(v, w).dims)
+                dims[0] = dims.get(0, 0) + odd
+                return GradedVectorSpace(dims)
+
+            monkeypatch.setattr(exacthom.classify, "floer_cohomology", skew)
+        return request.param
+
+    @pytest.mark.parametrize("theorem", ["sphere", "concentrated"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("max_dim, count", [(4, 400), (8, 100)])
+    def test_matches_plain_loop(self, hf, theorem, seed, max_dim, count):
+        cfg = SampleConfig(seed=seed, count=count, max_total_dim=max_dim)
+        report = self.CHECKS[theorem](cfg)
+        assert report == reference_report(theorem, cfg)
+        if hf == "skewed":
+            assert report.violations
+
+    @pytest.mark.parametrize("theorem", ["sphere", "concentrated"])
+    def test_wrong_hf_flags_every_duplicate(self, theorem, monkeypatch):
+        cfg = SampleConfig(seed=1, count=200, max_total_dim=4)
+        reps = sweep_reps(theorem, cfg)
+        labels = {}
+        for label, rep in reps:
+            labels.setdefault(content(rep), []).append(label)
+        wrong, expected = max(labels.items(), key=lambda kv: len(kv[1]))
+        assert len(expected) > 1
+        true = floer_cohomology
+        monkeypatch.setattr(
+            exacthom.classify, "floer_cohomology",
+            lambda v, w: GradedVectorSpace({}) if content(v) == wrong else true(v, w),
+        )
+        report = self.CHECKS[theorem](cfg)
+        assert [v["sample"] for v in report.violations] == expected
+        assert report == reference_report(theorem, cfg)
+
+    @pytest.mark.parametrize("cap", [0, 5, 40])
+    def test_table_stops_growing_at_its_cap(self, cap, monkeypatch):
+        cfg = SampleConfig(seed=2, count=200, max_total_dim=4)
+        kept, expected_calls = set(), 0
+        for _, rep in sweep_reps("sphere", cfg):
+            if content(rep) not in kept:
+                expected_calls += 1
+                if len(kept) < cap:
+                    kept.add(content(rep))
+        assert expected_calls > len(kept) == cap
+        calls = []
+        true = floer_cohomology
+        monkeypatch.setattr(exacthom.classify, "_HF_TABLE_CAP", cap)
+        monkeypatch.setattr(exacthom.classify, "floer_cohomology", lambda v, w: calls.append(v) or true(v, w))
+        report = check_sphere_theorem(cfg)
+        assert len(calls) == expected_calls
+        assert report.samples_checked == 228 and report.passed

@@ -325,6 +325,19 @@ class TestFirstViolationOracle:
             seen.add(got)
         assert {None, "relation:c", "relation:b", "invertibility:u"} <= seen
 
+    @pytest.mark.parametrize("u0, expected", [("3/2", None), ("1/2", "relation:b"), ("3", "relation:b")])
+    def test_terms_over_different_denominators(self, u0, expected):
+        """db = a + ua - au with a = 1, u = u0 at degree 0 and 1/2 at degree 1:
+        the term a is over 1, ua and au over 2, and the sum 3/2 - u0 vanishes
+        only for u0 = 3/2."""
+        space = GradedVectorSpace({0: 1, 1: 1})
+        maps = {
+            "a": GradedMap(space, space, 1, {0: RationalMatrix.identity(1)}),
+            "u": GradedMap(space, space, 0, {0: RationalMatrix(1, 1, [u0]), 1: RationalMatrix(1, 1, ["1/2"])}),
+        }
+        got = constructed_violation(MIXED_QUIVER, space, maps)
+        assert got == reference_first_violation(MIXED_QUIVER, space, maps) == expected
+
 
 class TestHomComplex:
     def test_zero_section_summands(self):

@@ -29,6 +29,15 @@ class TestRank:
             m = RationalMatrix(r, c, [rng.randint(-3, 3) for _ in range(r * c)])
             assert m.rank() == m.transpose().rank()
 
+    def test_rank_is_computed_once(self, monkeypatch):
+        m = rows([1, 2], [2, 4], [0, "1/2"])
+        assert m.rank() == 2
+        # a second call reads the kept rank: no row is eliminated again
+        monkeypatch.setattr("exacthom.rational.gcd", None)
+        assert m.rank() == 2 and m.is_invertible() is False
+        assert rows([1, 2], [2, 4], [0, "1/2"]) == m
+        assert hash(rows([1, 2], [2, 4], [0, "1/2"])) == hash(m)
+
 
 class TestKernel:
     def test_injective_map_has_empty_kernel(self):
