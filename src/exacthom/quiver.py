@@ -389,10 +389,15 @@ def floer_cohomology(v: Representation, w: Representation) -> GradedVectorSpace:
 
 
 def euler_of_hom(v: Representation, w: Representation) -> int:
-    """Euler characteristic of the morphism complex, from dimensions alone."""
+    """Euler characteristic of the morphism complex, from dimensions alone.
+
+    The hom space has chi(V) * chi(W), as (-1)^(j-i) = (-1)^(i+j), and the
+    summand of a generator x, shifted by |x| - 1, contributes (-1)^(|x|-1)
+    times that.
+    """
     _require_same_quiver(v, w)
-    _, _, total = _hom_summands(v, w)
-    return total.euler()
+    signs = 1 + sum(1 if g.degree % 2 else -1 for g in v.quiver.generators)
+    return v.space.euler() * w.space.euler() * signs
 
 
 def zero_section_representation() -> Representation:

@@ -553,6 +553,14 @@ class TestEulerOfHom:
         zero = Representation(sphere_quiver(), GradedVectorSpace({}), {})
         assert euler_of_hom(zero, zero_section_representation()) == 0
 
+    @pytest.mark.parametrize("quiver", [sphere_quiver(), torus_quiver()])
+    def test_matches_the_morphism_complex(self, quiver):
+        cfg = SampleConfig(seed=8, count=30, max_total_dim=4)
+        reps = [sample_representation_at(quiver, cfg, i) for i in range(30)]
+        for v, w in zip(reps, reps[1:] + reps[:1]):
+            for a, b in ((v, v), (v, w)):
+                assert euler_of_hom(a, b) == hom_complex(a, b).complex.space.euler()
+
     def test_sphere_doubling_identity(self):
         # the two summands differ by an even shift, so chi doubles
         for dims, blocks in [({0: 1, 1: 1}, {1: [[1]]}), ({-1: 2}, {}), ({0: 1, 2: 1}, {})]:
