@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from ._record import Record
 from .errors import FormatError, RepresentationError
@@ -104,38 +104,18 @@ def _rng_for(cfg: SampleConfig, index: int) -> random.Random:
     return random.Random(_mix(cfg.seed, index))
 
 
-def _draw(rng: random.Random, n: int, count: int) -> List[int]:
-    """count draws from range(n), n >= 1, as rng.randrange(n) makes them.
-
-    Each draw takes k = n.bit_length() bits from getrandbits and draws
-    again while the value is >= n: the rejection sampling CPython 3.11's
-    randrange, randint and choice use, so the samples are those of these
-    methods, pinned to the documented getrandbits.
-    """
-    bits = rng.getrandbits
-    k = n.bit_length()
-    out = []
-    for _ in range(count):
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        out.append(r)
-    return out
-
-
-def _draw_space(cfg: SampleConfig, index: int) -> Tuple[random.Random, GradedVectorSpace]:
-    """The generator of sample index and the space drawn first from it."""
-    rng = _rng_for(cfg, index)
-    (extra,) = _draw(rng, cfg.max_total_dim, 1)
+def _sample_space(rng: random.Random, cfg: SampleConfig) -> GradedVectorSpace:
+    total = rng.randint(1, cfg.max_total_dim)
     lo, hi = _DEGREE_BAND
     dims: Dict[int, int] = {}
-    for r in _draw(rng, hi - lo + 1, 1 + extra):  # total dimension 1 + extra
-        dims[lo + r] = dims.get(lo + r, 0) + 1
-    return rng, GradedVectorSpace(dims)
+    for _ in range(total):
+        d = rng.randint(lo, hi)
+        dims[d] = dims.get(d, 0) + 1
+    return GradedVectorSpace(dims)
 
 
 def _sample_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
-    nums = [_SCALAR_POOL[r] for r in _draw(rng, len(_SCALAR_POOL), rows * cols)]
+    nums = [rng.choice(_SCALAR_POOL) for _ in range(rows * cols)]
     return RationalMatrix.from_numerators(rows, cols, nums, 1)
 
 
@@ -155,10 +135,7 @@ def _sample_degree_map(
 
 
 def sample_representation_at(
-    quiver: QuiverPresentation,
-    cfg: SampleConfig,
-    index: int,
-    start: Optional[Tuple[random.Random, GradedVectorSpace]] = None,
+    quiver: QuiverPresentation, cfg: SampleConfig, index: int
 ) -> Representation:
     """Deterministic sample for one index; the unit of parallel evaluation.
 
@@ -166,15 +143,14 @@ def sample_representation_at(
     per degree, m is drawn invertible and n either as an invertible
     polynomial in m (commutation for free) or, on every third index, as a
     member of the diagonal-pair family; h is drawn freely in degree -1.
-    start, if given, is _draw_space(cfg, index), already drawn by the
-    caller; the maps are drawn on from it.
     """
     sphere = quiver == sphere_quiver()
     if not sphere and quiver != torus_quiver():
         raise RepresentationError(
             "sampling supports only the builtin sphere and torus quivers"
         )
-    rng, space = start or _draw_space(cfg, index)
+    rng = _rng_for(cfg, index)
+    space = _sample_space(rng, cfg)
     if sphere:
         return Representation(quiver, space, {"z": _sample_degree_map(rng, space, -1)})
     alpha_blocks: Dict[int, RationalMatrix] = {}
@@ -215,7 +191,7 @@ def _sample_polynomial_in(rng: random.Random, a: RationalMatrix) -> RationalMatr
     linear = a.over(den * den)
     quadratic = square.over(den * den)
     for _ in range(64):
-        c0, c1, c2 = (_SCALAR_POOL[r] for r in _draw(rng, len(_SCALAR_POOL), 3))
+        c0, c1, c2 = (rng.choice(_SCALAR_POOL) for _ in range(3))
         nums = [c0 * x + c1 * y + c2 * z for x, y, z in zip(ident, linear, quadratic)]
         cand = RationalMatrix.from_numerators(n, n, nums, den * den)
         if cand.is_invertible():
@@ -224,9 +200,7 @@ def _sample_polynomial_in(rng: random.Random, a: RationalMatrix) -> RationalMatr
 
 
 def _diagonal(rng: random.Random, n: int) -> RationalMatrix:
-    nums = [0] * (n * n)
-    for i, r in enumerate(_draw(rng, len(_NONZERO_POOL), n)):
-        nums[i * (n + 1)] = _NONZERO_POOL[r]
+    nums = [rng.choice(_NONZERO_POOL) if i == j else 0 for i in range(n) for j in range(n)]
     return RationalMatrix.from_numerators(n, n, nums, 1)
 
 
@@ -334,7 +308,7 @@ def _content(rep: Representation) -> tuple:
     return (
         tuple(rep.space.dims.items()),
         tuple(
-            tuple((i, b.denominator, b.numerators) for i, b in rep.maps[g.name].blocks().items())
+            tuple((i, b.denominator, b.numerators) for i, b in rep.maps[g.name].stored_blocks().items())
             for g in rep.quiver.generators
         ),
     )
@@ -436,19 +410,17 @@ def check_concentrated_lemma(cfg: SampleConfig) -> TheoremReport:
     """Spread-k spaces have cohomology at degrees -k and k+2: gap 2k+2 >= 4.
 
     Each checked sample must meet the exact form of _self_pair_violations.
-    Draws the spaces of cfg.count sphere-quiver samples; those concentrated
-    in a single degree are outside the hypothesis and are skipped before
-    their maps are drawn, so samples_checked counts only the spread >= 1
-    ones.
+    Draws cfg.count sphere-quiver samples; those concentrated in a single
+    degree are outside the hypothesis and are skipped, so samples_checked
+    counts only the spread >= 1 ones.
     """
     violations: List[Dict[str, object]] = []
     checked = 0
     examine = _self_pair_check()
     for index in range(cfg.count):
-        start = _draw_space(cfg, index)
-        if len(start[1].degrees()) == 1:
+        rep = sample_representation_at(sphere_quiver(), cfg, index)
+        if len(rep.space.degrees()) == 1:
             continue
-        rep = sample_representation_at(sphere_quiver(), cfg, index, start)
         checked += 1
         violations.extend(examine(rep, f"sample:{index}"))
     return TheoremReport("concentrated", checked, tuple(violations))

@@ -10,6 +10,7 @@ V[s]^i = V^{i+s}.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Tuple
 
 from .errors import ShapeError
@@ -144,6 +145,10 @@ class GradedMap:
 
     def blocks(self) -> Dict[int, RationalMatrix]:
         return dict(self._blocks)
+
+    def stored_blocks(self) -> Mapping[int, RationalMatrix]:
+        """Read-only view of the stored (nonzero) blocks, in ascending degree."""
+        return MappingProxyType(self._blocks)
 
     def is_zero(self) -> bool:
         return not self._blocks

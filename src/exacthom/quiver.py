@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedDifferentialError,
     require_type,
 )
-from .graded import GradedMap, GradedVectorSpace, hom_block_layout
+from .graded import GradedMap, GradedVectorSpace, hom_block_layout, hom_space
 # Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
 from .graded import hom_basis, hom_coordinates  # noqa: F401
 from .rational import RationalMatrix
@@ -196,7 +196,7 @@ class Representation(Record):
         for g in self.quiver.generators:
             if self.maps[g.name].degree != g.degree:
                 return f"degree:{g.name}"
-        blocks = {name: m._blocks for name, m in self.maps.items()}
+        blocks = {name: m.stored_blocks() for name, m in self.maps.items()}
         degree_of = {g.name: g.degree for g in self.quiver.generators}
         degrees = self.space.degrees()
         for name, terms in self.quiver.relations:
@@ -307,18 +307,13 @@ class HomComplexResult(Record):
 
 def _hom_summands(
     v: Representation, w: Representation
-) -> Tuple[Dict[int, int], Tuple[Tuple[str, int], ...], GradedVectorSpace]:
-    """Dimensions of the hom space by degree, the summand layout, and the
-    total space: dim hom^d is the sum over i of dim V^i * dim W^{i+d}."""
-    u: Dict[int, int] = {}
-    w_dims = w.space.dims
-    for i, a in v.space.dims.items():
-        for j, b in w_dims.items():
-            u[j - i] = u.get(j - i, 0) + a * b
+) -> Tuple[GradedVectorSpace, Tuple[Tuple[str, int], ...], GradedVectorSpace]:
+    u = hom_space(v.space, w.space)
     layout = (("id", 0),) + tuple((g.name, g.degree - 1) for g in v.quiver.generators)
+    u_dims = u.dims
     dims: Dict[int, int] = {}
     for _, shift in layout:
-        for d, n in u.items():
+        for d, n in u_dims.items():
             dims[d - shift] = dims.get(d - shift, 0) + n
     return u, layout, GradedVectorSpace(dims)
 
@@ -353,7 +348,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
 
     gens = [(e, over_den(wb), over_den(vb)) for e, wb, vb in maps]
     # The basis of hom^d is empty exactly where u has no dimension.
-    basis = {d: hom_block_layout(v.space, w.space, d) for d in u}
+    basis = {d: hom_block_layout(v.space, w.space, d) for d in u.degrees()}
     blocks: Dict[int, RationalMatrix] = {}
     for p in total.degrees():
         rows_dim = total.dim(p + 1)
@@ -361,7 +356,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
             continue
         cols_dim = total.dim(p)
         out = [0] * (rows_dim * cols_dim)
-        off = u.get(p + 1, 0)
+        off = u.dim(p + 1)
         for e, w_blocks, v_blocks in gens:
             pos = {key: off + k for k, key in enumerate(basis.get(p + e, ()))}
             sign = -1 if (p * e) % 2 else 1
@@ -372,7 +367,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
                     out[pos[i, a, c] * cols_dim + col] += g[a * g_cols + r]
                 for b in range(f_cols):
                     out[pos[i - e, r, b] * cols_dim + col] -= sign * f[c * f_cols + b]
-            off += u.get(p + e, 0)
+            off += u.dim(p + e)
         blocks[p] = RationalMatrix.from_numerators(rows_dim, cols_dim, out, den)
     diff = GradedMap(total, total, 1, blocks)
     return HomComplexResult(CochainComplex(total, diff), layout, True)

@@ -98,16 +98,3 @@ def test_sphere_sweep_builds_one_hom_complex_per_distinct_self_pair():
     assert result["runs"][0]["code"] == 0
     assert result["metrics"]["quiver.hom_complex.calls"] == len(distinct)
 
-
-def test_concentrated_sweep_samples_only_spread_spaces():
-    from exacthom.classify import SampleConfig, sample_representation_at
-    from exacthom.quiver import sphere_quiver
-
-    cfg = SampleConfig(seed=1, count=200, max_total_dim=4)
-    spread = sum(
-        len(sample_representation_at(sphere_quiver(), cfg, i).space.degrees()) > 1 for i in range(200)
-    )
-    assert 0 < spread < 200
-    result = traced([["verify", "concentrated", *SWEEP, "--json"]])
-    assert json.loads(result["runs"][0]["out"])["checked"] == spread
-    assert result["metrics"]["classify.sample.calls"] == spread

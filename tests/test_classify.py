@@ -1,4 +1,3 @@
-import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -8,8 +7,6 @@ import exacthom.classify
 from exacthom.classify import (
     SampleConfig,
     TheoremReport,
-    _draw,
-    _draw_space,
     _self_pair_violations,
     check_concentrated_lemma,
     check_sphere_theorem,
@@ -91,13 +88,6 @@ class TestSampling:
         for i, rep in enumerate(stream):
             assert sample_representation_at(sphere_quiver(), cfg, i) == rep
 
-    @pytest.mark.parametrize("quiver", [sphere_quiver(), torus_quiver()])
-    def test_drawn_start_continues_the_stream(self, quiver):
-        cfg = SampleConfig(seed=21, count=30, max_total_dim=4)
-        for i in range(30):
-            start = _draw_space(cfg, i)
-            assert sample_representation_at(quiver, cfg, i, start) == sample_representation_at(quiver, cfg, i)
-
     def test_parallel_equals_serial(self):
         cfg = SampleConfig(seed=13, count=32)
         serial = [sample_representation_at(torus_quiver(), cfg, i) for i in range(32)]
@@ -117,20 +107,6 @@ class TestSampling:
             spreads.add(max(degs) - min(degs))
         assert 0 in spreads
         assert any(s >= 1 for s in spreads)
-
-
-class TestDraw:
-    """_draw against the Random methods it replaces, draw for draw."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 43, 2**64 - 1])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 33])
-    def test_matches_choice_and_randint(self, seed, n):
-        pool = tuple(range(100, 100 + n))
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(4):  # alternate, so the two streams must stay aligned
-            assert [pool[r] for r in _draw(ours, n, 200)] == [theirs.choice(pool) for _ in range(200)]
-            assert [-3 + r for r in _draw(ours, n, 200)] == [theirs.randint(-3, n - 4) for _ in range(200)]
-        assert ours.getstate() == theirs.getstate()
 
 
 class TestEnumeration:

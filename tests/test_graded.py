@@ -243,6 +243,15 @@ class TestGradedMap:
         v = GradedVectorSpace({0: 2, 1: 1})
         assert GradedMap.zero(v, v, 1).block(0) == RationalMatrix.zero(1, 2)
 
+    def test_stored_blocks_is_a_read_only_view(self):
+        v = GradedVectorSpace({0: 1, 1: 1, 2: 1})
+        m = GradedMap(v, v, 0, {2: RationalMatrix.identity(1), 1: RationalMatrix.zero(1, 1)})
+        view = m.stored_blocks()
+        assert dict(view) == m.blocks() == {2: RationalMatrix.identity(1)}
+        with pytest.raises(TypeError):
+            view[0] = RationalMatrix.identity(1)
+        assert m.block(0) == RationalMatrix.zero(1, 1)
+
     def test_one_canonical_form(self):
         """An explicit zero block and the order of the keys leave no trace."""
         v = GradedVectorSpace({0: 2, 1: 1})
