@@ -9,7 +9,6 @@ from .rational import RationalMatrix, block_diag
 from .graded import (
     GradedMap,
     GradedVectorSpace,
-    dual_space,
     hom_space,
 )
 from .complexes import (
@@ -17,7 +16,6 @@ from .complexes import (
     random_complex,
 )
 from .cellular import (
-    Cell,
     CellComplex,
     SurfaceVerdict,
     builtin,
@@ -69,11 +67,9 @@ __all__ = [
     "block_diag",
     "GradedVectorSpace",
     "GradedMap",
-    "dual_space",
     "hom_space",
     "CochainComplex",
     "random_complex",
-    "Cell",
     "CellComplex",
     "SurfaceVerdict",
     "builtin",

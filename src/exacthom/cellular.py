@@ -26,28 +26,6 @@ from .graded import GradedMap, GradedVectorSpace
 from .rational import RationalMatrix
 
 
-class Cell(Record):
-    __slots__ = ("id", "dim")
-    id: str
-    dim: int
-
-    def __init__(self, id: str, dim: int):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "dim", dim)
-
-
-class Incidence(Record):
-    __slots__ = ("frm", "to", "coeff")
-    frm: str
-    to: str
-    coeff: int
-
-    def __init__(self, frm: str, to: str, coeff: int):
-        object.__setattr__(self, "frm", frm)
-        object.__setattr__(self, "to", to)
-        object.__setattr__(self, "coeff", coeff)
-
-
 class SurfaceVerdict(Record):
     """Outcome of classifying a closed orientable surface by its invariants."""
 
@@ -73,8 +51,9 @@ class CellComplex:
     sanity only; whether the induced boundary squares to zero is checked
     when the chain complex is built.  Cell ids and incidence ends must be
     strs, dimensions and coefficients ints (a bool is not one): anything
-    else raises FormatError rather than being converted.  Only the id -> dim
-    and (from, to) -> coeff dicts the checks build are kept, in input order.
+    else raises FormatError rather than being converted.  Cells are (id, dim)
+    pairs and incidences (from, to, coeff) triples; only the id -> dim and
+    (from, to) -> coeff dicts the checks build are kept, in input order.
     """
 
     __slots__ = ("_dim_of", "_coeff_of")
@@ -83,7 +62,7 @@ class CellComplex:
         dim_of: Dict[str, int] = {}
         dups = set()
         for c in cells:
-            cid, dim = (c.id, c.dim) if isinstance(c, Cell) else (c[0], c[1])
+            cid, dim = c[0], c[1]
             # Exact types pass at the cost of two type() calls; otherwise
             # require_type accepts subclasses or names the bad field.
             if type(cid) is not str or type(dim) is not int:
@@ -98,7 +77,7 @@ class CellComplex:
             raise CellComplexError(f"duplicate cell ids: {sorted(dups)}")
         coeff_of: Dict[Tuple[str, str], int] = {}
         for e in incidence:
-            frm, to, coeff = (e.frm, e.to, e.coeff) if isinstance(e, Incidence) else (e[0], e[1], e[2])
+            frm, to, coeff = e[0], e[1], e[2]
             if type(frm) is not str or type(to) is not str or type(coeff) is not int:
                 require_type(frm, str, "incidence 'from'")
                 require_type(to, str, "incidence 'to'")
@@ -118,24 +97,17 @@ class CellComplex:
         self._dim_of = dim_of
         self._coeff_of = coeff_of
 
-    @property
-    def cells(self) -> Tuple[Cell, ...]:
-        return tuple(Cell(i, d) for i, d in self._dim_of.items())
-
-    @property
-    def incidence(self) -> Tuple[Incidence, ...]:
-        return tuple(Incidence(a, b, k) for (a, b), k in self._coeff_of.items())
-
-    def cells_of_dim(self, d: int) -> Tuple[Cell, ...]:
-        return tuple(Cell(i, k) for i, k in self._dim_of.items() if k == d)
-
     def max_dim(self) -> int:
         return max(self._dim_of.values(), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellComplex):
             return NotImplemented
-        return self.cells == other.cells and self.incidence == other.incidence
+        # Ordered comparisons: dict_items == alone would ignore input order.
+        return (
+            list(self._dim_of.items()) == list(other._dim_of.items())
+            and list(self._coeff_of.items()) == list(other._coeff_of.items())
+        )
 
     def __repr__(self) -> str:
         counts: Dict[int, int] = {}
@@ -182,7 +154,7 @@ def _homology(chains: CochainComplex) -> GradedVectorSpace:
 
 def circle() -> CellComplex:
     """One 0-cell and one 1-cell, incidence coefficient 0."""
-    return CellComplex([Cell("v", 0), Cell("e", 1)])
+    return CellComplex([("v", 0), ("e", 1)])
 
 
 def genus_surface(g: int) -> CellComplex:
@@ -194,9 +166,9 @@ def genus_surface(g: int) -> CellComplex:
     """
     if g < 0:
         raise FormatError("genus must be nonnegative")
-    cells = [Cell("v", 0)]
-    cells += [Cell(f"a{k}", 1) for k in range(1, 2 * g + 1)]
-    cells.append(Cell("f", 2))
+    cells = [("v", 0)]
+    cells += [(f"a{k}", 1) for k in range(1, 2 * g + 1)]
+    cells.append(("f", 2))
     return CellComplex(cells)
 
 

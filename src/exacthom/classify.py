@@ -181,19 +181,18 @@ def sample_representation_at(
 def _sample_polynomial_in(rng: random.Random, a: RationalMatrix) -> RationalMatrix:
     """First invertible c0·I + c1·a + c2·a² of up to 64 draws, else a itself.
 
-    The three terms are written over the denominator of a² once; each
-    candidate is then one integer combination of their numerators.
+    a is integral (_sample_invertible draws it from the int pool, or falls
+    back to the identity), so each candidate is one integer combination of
+    the numerators of I, a and a², over denominator 1.
     """
     n = a.rows
-    den = a.denominator
-    square = a @ a
-    ident = [den * den if i == j else 0 for i in range(n) for j in range(n)]
-    linear = a.over(den * den)
-    quadratic = square.over(den * den)
+    ident = [1 if i == j else 0 for i in range(n) for j in range(n)]
+    linear = a.numerators
+    quadratic = (a @ a).numerators
     for _ in range(64):
         c0, c1, c2 = (rng.choice(_SCALAR_POOL) for _ in range(3))
         nums = [c0 * x + c1 * y + c2 * z for x, y, z in zip(ident, linear, quadratic)]
-        cand = RationalMatrix.from_numerators(n, n, nums, den * den)
+        cand = RationalMatrix.from_numerators(n, n, nums, 1)
         if cand.is_invertible():
             return cand
     return a
@@ -308,7 +307,7 @@ def _content(rep: Representation) -> tuple:
     return (
         tuple(rep.space.dims.items()),
         tuple(
-            tuple((i, b.denominator, b.numerators) for i, b in rep.maps[g.name].stored_blocks().items())
+            tuple((i, b.denominator, b.numerators) for i, b in rep.maps[g.name].blocks().items())
             for g in rep.quiver.generators
         ),
     )
@@ -445,9 +444,3 @@ CHECKS = {
     "torus": check_torus_theorem,
     "concentrated": check_concentrated_lemma,
 }
-
-
-def run_check(theorem: str, cfg: SampleConfig) -> TheoremReport:
-    if theorem not in CHECKS:
-        raise FormatError(f"unknown theorem {theorem!r}")
-    return CHECKS[theorem](cfg)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .cellular import CellComplex, builtin as builtin_cell
 from .cellular import classify_surface, homology_of
-from .classify import CHECKS, SampleConfig, run_check
+from .classify import CHECKS, SampleConfig
 from .complexes import CochainComplex
 from .errors import ClassificationError, ExactHomError, FormatError
 from .io import load_homology_input, load_cell_complex, load_representation
@@ -143,7 +143,7 @@ def cmd_floer(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = SampleConfig(seed=args.seed, count=args.count, max_total_dim=args.max_dim)
-    report = run_check(args.theorem, cfg)
+    report = CHECKS[args.theorem](cfg)
     lines = [
         f"theorem={report.theorem} checked={report.samples_checked} "
         f"violations={len(report.violations)}"

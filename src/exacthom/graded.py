@@ -11,7 +11,7 @@ V[s]^i = V^{i+s}.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import ShapeError
 from .rational import RationalMatrix
@@ -79,9 +79,6 @@ class GradedVectorSpace:
     def __repr__(self) -> str:
         return f"GradedVectorSpace({self._dims})"
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._dims)
-
 
 class GradedMap:
     """Degree-d linear map between graded vector spaces.
@@ -127,15 +124,6 @@ class GradedMap:
     ) -> "GradedMap":
         return cls(source, target, degree, {})
 
-    @classmethod
-    def identity(cls, space: GradedVectorSpace) -> "GradedMap":
-        return cls(
-            space,
-            space,
-            0,
-            {i: RationalMatrix.identity(space.dim(i)) for i in space.degrees()},
-        )
-
     def block(self, i: int) -> RationalMatrix:
         """Matrix in source degree i; a zero matrix, built here, if none is stored."""
         blk = self._blocks.get(i)
@@ -143,10 +131,7 @@ class GradedMap:
             return blk
         return RationalMatrix.zero(self.target.dim(i + self.degree), self.source.dim(i))
 
-    def blocks(self) -> Dict[int, RationalMatrix]:
-        return dict(self._blocks)
-
-    def stored_blocks(self) -> Mapping[int, RationalMatrix]:
+    def blocks(self) -> Mapping[int, RationalMatrix]:
         """Read-only view of the stored (nonzero) blocks, in ascending degree."""
         return MappingProxyType(self._blocks)
 
@@ -192,9 +177,6 @@ class GradedMap:
         out = {i: b.scale(c) for i, b in self._blocks.items()}
         return GradedMap(self.source, self.target, self.degree, out)
 
-    def __rmul__(self, c) -> "GradedMap":
-        return self.scale(c)
-
     def shift(self, s: int) -> "GradedMap":
         """Same matrices reindexed between shifted spaces; no sign."""
         out = {i - s: b for i, b in self._blocks.items()}
@@ -218,11 +200,6 @@ class GradedMap:
             f"GradedMap(degree={self.degree}, "
             f"blocks={{{', '.join(f'{i}: {b.rows}x{b.cols}' for i, b in self._blocks.items())}}})"
         )
-
-
-def dual_space(v: GradedVectorSpace) -> GradedVectorSpace:
-    """Dual graded space: dimension at degree d equals dim of v at -d."""
-    return GradedVectorSpace({-k: d for k, d in v.dims.items()})
 
 
 def hom_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpace:

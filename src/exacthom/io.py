@@ -196,10 +196,6 @@ def parse_representation(obj) -> Representation:
     return Representation(quiver, space, maps)
 
 
-def load_complex(path: str) -> CochainComplex:
-    return parse_complex(load_document(path))
-
-
 def load_cell_complex(path: str) -> CellComplex:
     return parse_cell_complex(load_document(path))
 

@@ -196,7 +196,7 @@ class Representation(Record):
         for g in self.quiver.generators:
             if self.maps[g.name].degree != g.degree:
                 return f"degree:{g.name}"
-        blocks = {name: m.stored_blocks() for name, m in self.maps.items()}
+        blocks = {name: m.blocks() for name, m in self.maps.items()}
         degree_of = {g.name: g.degree for g in self.quiver.generators}
         degrees = self.space.degrees()
         for name, terms in self.quiver.relations:
@@ -283,39 +283,32 @@ def _require_same_quiver(v: Representation, w: Representation) -> None:
 class HomComplexResult(Record):
     """Morphism complex between two representations.
 
-    summand_layout lists the summands in order: the unshifted hom space
-    labelled "id", then one entry (generator name, |x|-1) per generator.
-    When differential_defined is false the complex carries a zero
-    differential placeholder and only its graded dimensions are meaningful.
+    The summands are the unshifted hom space, then one copy shifted by
+    |x|-1 per generator x, in the quiver's order.  When
+    differential_defined is false the complex carries a zero differential
+    placeholder and only its graded dimensions are meaningful.
     """
 
-    __slots__ = ("complex", "summand_layout", "differential_defined")
+    __slots__ = ("complex", "differential_defined")
     complex: CochainComplex
-    summand_layout: Tuple[Tuple[str, int], ...]
     differential_defined: bool
 
-    def __init__(
-        self,
-        complex: CochainComplex,
-        summand_layout: Tuple[Tuple[str, int], ...],
-        differential_defined: bool,
-    ):
+    def __init__(self, complex: CochainComplex, differential_defined: bool):
         object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "summand_layout", summand_layout)
         object.__setattr__(self, "differential_defined", differential_defined)
 
 
 def _hom_summands(
     v: Representation, w: Representation
-) -> Tuple[GradedVectorSpace, Tuple[Tuple[str, int], ...], GradedVectorSpace]:
+) -> Tuple[GradedVectorSpace, GradedVectorSpace]:
     u = hom_space(v.space, w.space)
-    layout = (("id", 0),) + tuple((g.name, g.degree - 1) for g in v.quiver.generators)
+    shifts = [0] + [g.degree - 1 for g in v.quiver.generators]
     u_dims = u.dims
     dims: Dict[int, int] = {}
-    for _, shift in layout:
+    for shift in shifts:
         for d, n in u_dims.items():
             dims[d - shift] = dims.get(d - shift, 0) + n
-    return u, layout, GradedVectorSpace(dims)
+    return u, GradedVectorSpace(dims)
 
 
 # A generator acts by zero at a degree where its map stores no block.
@@ -331,10 +324,10 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     """
     _require_same_quiver(v, w)
     quiver = v.quiver
-    u, layout, total = _hom_summands(v, w)
+    u, total = _hom_summands(v, w)
     defined = quiver.all_differentials_vanish()
     if not defined:
-        return HomComplexResult(CochainComplex.zero_differential(total), layout, False)
+        return HomComplexResult(CochainComplex.zero_differential(total), False)
 
     # Column (i, r, c) of degree p is the elementary map E_rc: V^i -> W^{i+p}.
     # For x of degree e, x E_rc puts column r of rho_W(x) at W^{i+p} into
@@ -370,7 +363,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
             off += u.dim(p + e)
         blocks[p] = RationalMatrix.from_numerators(rows_dim, cols_dim, out, den)
     diff = GradedMap(total, total, 1, blocks)
-    return HomComplexResult(CochainComplex(total, diff), layout, True)
+    return HomComplexResult(CochainComplex(total, diff), True)
 
 
 def floer_cohomology(v: Representation, w: Representation) -> GradedVectorSpace:

@@ -192,9 +192,6 @@ class RationalMatrix:
             self.rows, self.cols, [k * x for x in self.numerators], f.denominator * self.denominator
         )
 
-    def __rmul__(self, c: Scalar) -> "RationalMatrix":
-        return self.scale(c)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Exact product; zero entries of either factor cost no arithmetic.
 

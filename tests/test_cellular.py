@@ -3,9 +3,7 @@ import tracemalloc
 import pytest
 
 from exacthom.cellular import (
-    Cell,
     CellComplex,
-    Incidence,
     SurfaceVerdict,
     builtin,
     chain_complex_of,
@@ -45,23 +43,23 @@ def tetrahedron_boundary():
     return CellComplex(cells, incidence)
 
 
+def cells_per_dim(cc):
+    """Cells of each dimension, counted through the chain complex."""
+    return {-d: n for d, n in chain_complex_of(cc).space.dims.items()}
+
+
 class TestBuiltins:
     def test_circle_cells(self):
-        cc = circle()
-        assert len(cc.cells_of_dim(0)) == 1 and len(cc.cells_of_dim(1)) == 1
+        assert cells_per_dim(circle()) == {0: 1, 1: 1}
 
     def test_sphere_has_no_one_cells(self):
-        cc = sphere()
-        assert len(cc.cells) == 2
-        assert not cc.cells_of_dim(1)
+        assert cells_per_dim(sphere()) == {0: 1, 2: 1}
 
     def test_genus_one_is_torus(self):
         assert genus_surface(1) == torus()
 
     def test_genus_three_cell_count(self):
-        cc = genus_surface(3)
-        assert len(cc.cells_of_dim(1)) == 6
-        assert len(cc.cells) == 8
+        assert cells_per_dim(genus_surface(3)) == {0: 1, 1: 6, 2: 1}
 
     def test_builtin_names(self):
         assert builtin("circle") == circle()
@@ -75,6 +73,34 @@ class TestBuiltins:
     def test_negative_genus(self):
         with pytest.raises(FormatError):
             genus_surface(-1)
+
+
+class TestEquality:
+    """Equality compares cells and incidence in input order, and coefficients."""
+
+    CELLS = [("v", 0), ("a", 1), ("b", 1), ("f", 2)]
+    INCIDENCE = [("a", "v", 0), ("b", "v", 0), ("f", "a", 0), ("f", "b", 0)]
+
+    def test_same_input_is_equal(self):
+        assert CellComplex(self.CELLS, self.INCIDENCE) == CellComplex(
+            list(self.CELLS), list(self.INCIDENCE)
+        )
+
+    def test_cells_in_another_order_are_not_equal(self):
+        swapped = [self.CELLS[0], self.CELLS[2], self.CELLS[1], self.CELLS[3]]
+        assert CellComplex(self.CELLS, self.INCIDENCE) != CellComplex(swapped, self.INCIDENCE)
+
+    def test_incidence_in_another_order_is_not_equal(self):
+        assert CellComplex(self.CELLS, self.INCIDENCE) != CellComplex(
+            self.CELLS, self.INCIDENCE[::-1]
+        )
+
+    def test_other_coefficient_is_not_equal(self):
+        other = self.INCIDENCE[:-1] + [("f", "b", 1)]
+        assert CellComplex(self.CELLS, self.INCIDENCE) != CellComplex(self.CELLS, other)
+
+    def test_not_equal_to_other_types(self):
+        assert CellComplex(self.CELLS) != self.CELLS
 
 
 class TestChainComplex:
@@ -209,7 +235,7 @@ class TestStructuralErrors:
 
     def test_negative_dimension(self):
         with pytest.raises(CellComplexError):
-            CellComplex([Cell("a", -1)])
+            CellComplex([("a", -1)])
 
     # Each case would be a valid complex if the one bad field were converted
     # with str() or int().
@@ -217,13 +243,13 @@ class TestStructuralErrors:
         "cells, incidence",
         [
             ([(1, 0)], []),
-            ([Cell(None, 0)], []),
+            ([(None, 0)], []),
             ([("a", True)], []),
             ([("a", "0")], []),
             ([("a", 0), ("e", 1)], [(1, "a", 1)]),
             ([("a", 0), ("e", 1)], [("e", None, 1)]),
             ([("a", 0), ("e", 1)], [("e", "a", "1")]),
-            ([("a", 0), ("e", 1)], [Incidence("e", "a", True)]),
+            ([("a", 0), ("e", 1)], [("e", "a", True)]),
         ],
         ids=["int id", "None id", "bool dim", "str dim", "int from", "None to",
              "str coeff", "bool coeff"],

@@ -5,6 +5,7 @@ import pytest
 
 import exacthom.classify
 from exacthom.classify import (
+    CHECKS,
     SampleConfig,
     TheoremReport,
     _self_pair_violations,
@@ -16,7 +17,6 @@ from exacthom.classify import (
     enumerate_spaces,
     enumerate_sphere_representations,
     enumerate_torus_representations,
-    run_check,
     sample_representation_at,
     sample_representations,
 )
@@ -176,10 +176,11 @@ class TestChecks:
         assert payload["violations"] == []
 
     def test_run_check_dispatch(self):
+        """verify runs CHECKS[theorem]; each entry checks its own theorem."""
         cfg = SampleConfig(seed=0, count=10)
-        assert run_check("sphere", cfg).theorem == "sphere"
-        with pytest.raises(FormatError):
-            run_check("klein_bottle", cfg)
+        assert list(CHECKS) == ["sphere", "torus", "concentrated"]
+        for name, check in CHECKS.items():
+            assert check(cfg).theorem == name
 
     def test_concentrated_support_shape(self):
         """The closed form at the ends, the support bound and duality, for

@@ -6,7 +6,6 @@ from exacthom.errors import ShapeError
 from exacthom.graded import (
     GradedMap,
     GradedVectorSpace,
-    dual_space,
     hom_basis,
     hom_block_layout,
     hom_coordinates,
@@ -83,23 +82,6 @@ class TestDirectSum:
         assert out.dims == {0: 1, 2: 1}
 
 
-class TestDual:
-    def test_line_in_degree_one(self):
-        assert dual_space(GradedVectorSpace({1: 1})).dims == {-1: 1}
-
-    def test_zero(self):
-        assert dual_space(GradedVectorSpace({})).is_zero()
-
-    def test_two_degrees(self):
-        assert dual_space(GradedVectorSpace({0: 1, 1: 2})).dims == {0: 1, -1: 2}
-
-    def test_involution_on_dims(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            v = _random_space(rng)
-            assert dual_space(dual_space(v)) == v
-
-
 class TestHomSpace:
     def test_lines(self):
         v = GradedVectorSpace({0: 1})
@@ -162,8 +144,9 @@ class TestGradedMap:
     def test_identity_compose(self):
         v = GradedVectorSpace({0: 2, 1: 1})
         f = _map(v, v, 0, {0: [[1, 2], [3, 4]], 1: [[5]]})
-        assert GradedMap.identity(v) @ f == f
-        assert f @ GradedMap.identity(v) == f
+        one = GradedMap(v, v, 0, {i: RationalMatrix.identity(v.dim(i)) for i in v.degrees()})
+        assert one @ f == f
+        assert f @ one == f
 
     def test_zero_absorbs(self):
         v = GradedVectorSpace({0: 1, 1: 1})
@@ -246,8 +229,8 @@ class TestGradedMap:
     def test_stored_blocks_is_a_read_only_view(self):
         v = GradedVectorSpace({0: 1, 1: 1, 2: 1})
         m = GradedMap(v, v, 0, {2: RationalMatrix.identity(1), 1: RationalMatrix.zero(1, 1)})
-        view = m.stored_blocks()
-        assert dict(view) == m.blocks() == {2: RationalMatrix.identity(1)}
+        view = m.blocks()
+        assert view == {2: RationalMatrix.identity(1)}
         with pytest.raises(TypeError):
             view[0] = RationalMatrix.identity(1)
         assert m.block(0) == RationalMatrix.zero(1, 1)

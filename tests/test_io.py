@@ -19,7 +19,6 @@ from exacthom.errors import (
 )
 from exacthom.io import (
     load_cell_complex,
-    load_complex,
     load_document,
     load_homology_input,
     load_representation,
@@ -324,7 +323,7 @@ class TestFiles:
         path = write_json(
             tmp_path, {"dims": {"-2": 1, "0": 3}, "differential": {}}
         )
-        assert load_complex(path).space.dims == {-2: 1, 0: 3}
+        assert load_homology_input(path).space.dims == {-2: 1, 0: 3}
 
     def test_load_cell_complex(self, tmp_path):
         path = write_json(tmp_path, {"cells": [{"id": "p", "dim": 0}]})

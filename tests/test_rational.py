@@ -279,7 +279,7 @@ def test_entry_reduction_invariant():
 
 def test_scale_and_add():
     m = rows([1, 2], [3, 4])
-    assert 2 * m - m == m
+    assert m.scale(2) - m == m
     assert (m - m).is_zero()
 
 

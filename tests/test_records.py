@@ -1,9 +1,11 @@
-"""Goldens for the nine immutable record classes.
+"""Goldens for the seven immutable record classes.
 
 Each record prints, compares and hashes by its fields in declaration order,
 refuses assignment and deletion, and survives pickle and copy.  The expected
 strings and hashes are those of the package's first record implementation
-(frozen dataclasses), so any rewrite must keep them exactly.
+(frozen dataclasses), so any rewrite must keep them exactly; only
+HomComplexResult's repr has changed since, when its summand_layout field
+was removed.
 """
 
 import copy
@@ -12,7 +14,6 @@ import pickle
 import pytest
 
 from exacthom import (
-    Cell,
     Generator,
     GradedVectorSpace,
     HomComplexResult,
@@ -26,7 +27,6 @@ from exacthom import (
     torus_quiver,
     zero_section_representation,
 )
-from exacthom.cellular import Incidence
 from exacthom.errors import ClassificationError, FormatError, RepresentationError
 
 SPHERE_REPR = (
@@ -65,12 +65,11 @@ CASES = {
         _zero_section_hom,
         lambda: HomComplexResult(
             complex=_zero_section_hom().complex,
-            summand_layout=(("id", 0), ("z", -2)),
             differential_defined=True,
         ),
-        lambda: HomComplexResult(_zero_section_hom().complex, (("id", 0), ("z", -2)), False),
+        lambda: HomComplexResult(_zero_section_hom().complex, False),
         "HomComplexResult(complex=CochainComplex(dims={0: 1, 2: 1}), "
-        "summand_layout=(('id', 0), ('z', -2)), differential_defined=True)",
+        "differential_defined=True)",
     ),
     "SampleConfig": (
         SampleConfig,
@@ -83,18 +82,6 @@ CASES = {
         lambda: TheoremReport(theorem="t", samples_checked=0, violations=()),
         lambda: TheoremReport("t", 1),
         "TheoremReport(theorem='t', samples_checked=0, violations=())",
-    ),
-    "Cell": (
-        lambda: Cell("e", 1),
-        lambda: Cell(id="e", dim=1),
-        lambda: Cell("e", 0),
-        "Cell(id='e', dim=1)",
-    ),
-    "Incidence": (
-        lambda: Incidence("e", "v", -1),
-        lambda: Incidence(frm="e", to="v", coeff=-1),
-        lambda: Incidence("e", "v", 1),
-        "Incidence(frm='e', to='v', coeff=-1)",
     ),
     "SurfaceVerdict": (
         lambda: SurfaceVerdict(1, 0, True, True),
@@ -110,8 +97,6 @@ HASHES = {
     "QuiverPresentation": ((Generator("z", -1),), (("z", ()),)),
     "SampleConfig": (0, 100, 3),
     "TheoremReport": ("t", 0, ()),
-    "Cell": ("e", 1),
-    "Incidence": ("e", "v", -1),
     "SurfaceVerdict": (1, 0, True, True),
 }
 
@@ -122,8 +107,6 @@ FIELDS = {
     "HomComplexResult": "complex",
     "SampleConfig": "seed",
     "TheoremReport": "violations",
-    "Cell": "id",
-    "Incidence": "coeff",
     "SurfaceVerdict": "genus",
 }
 
@@ -147,7 +130,6 @@ def test_equality(name):
     # A record never equals a plain tuple of its fields, nor another record type.
     assert a != HASHES.get(name, ("z", -1, False))
     assert a != ("z", -1, False)
-    assert a != Cell("z", -1) or name == "Cell"
     assert a != Generator("z", -1) or name == "Generator"
 
 
