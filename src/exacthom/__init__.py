@@ -5,16 +5,13 @@ and morphism-complex cohomology of quiver dg-representations, all over
 exact rational coefficients.
 """
 
-from .rational import RationalMatrix, block_diag
+from .rational import RationalMatrix
 from .graded import (
     GradedMap,
     GradedVectorSpace,
     hom_space,
 )
-from .complexes import (
-    CochainComplex,
-    random_complex,
-)
+from .complexes import CochainComplex
 from .cellular import (
     CellComplex,
     SurfaceVerdict,
@@ -47,7 +44,6 @@ from .classify import (
     enumerate_sphere_representations,
     enumerate_torus_representations,
     sample_representation_at,
-    sample_representations,
 )
 from .errors import (
     CellComplexError,
@@ -64,12 +60,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RationalMatrix",
-    "block_diag",
     "GradedVectorSpace",
     "GradedMap",
     "hom_space",
     "CochainComplex",
-    "random_complex",
     "CellComplex",
     "SurfaceVerdict",
     "builtin",
@@ -94,7 +88,6 @@ __all__ = [
     "check_concentrated_lemma",
     "check_sphere_theorem",
     "check_torus_theorem",
-    "sample_representations",
     "sample_representation_at",
     "enumerate_sphere_representations",
     "enumerate_torus_representations",

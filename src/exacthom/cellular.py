@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from ._record import Record
-from .complexes import CochainComplex
+from .complexes import CochainComplex, require_differential_fits
 from .errors import (
     CellComplexError,
     ClassificationError,
@@ -120,13 +120,15 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
     """Boundary data as a cochain complex, i-cells in degree -i.
 
     The block out of degree -i is the boundary from i-cells to (i-1)-cells;
-    entry (b, a) is the coefficient of the pair a -> b.  Raises if the
-    assembled boundary does not square to zero.
+    entry (b, a) is the coefficient of the pair a -> b.  Raises before any
+    block is built if the boundary would exceed the entry budget of
+    require_differential_fits, and after if it does not square to zero.
     """
     ids: Dict[int, List[str]] = {}  # dimension -> cell ids, only where there are cells
     for i, d in cc._dim_of.items():
         ids.setdefault(d, []).append(i)
     space = GradedVectorSpace({-d: len(of_d) for d, of_d in ids.items()})
+    require_differential_fits(space)
     coeff = cc._coeff_of
     blocks: Dict[int, RationalMatrix] = {}
     for d, sources in ids.items():
@@ -172,22 +174,14 @@ def genus_surface(g: int) -> CellComplex:
     return CellComplex(cells)
 
 
-def sphere() -> CellComplex:
-    return genus_surface(0)
-
-
-def torus() -> CellComplex:
-    return genus_surface(1)
-
-
 def builtin(name: str) -> CellComplex:
     """Named decomposition: circle, sphere, torus, or genus_g:<g>."""
     if name == "circle":
         return circle()
     if name == "sphere":
-        return sphere()
+        return genus_surface(0)
     if name == "torus":
-        return torus()
+        return genus_surface(1)
     if name.startswith("genus_g:"):
         genus = name[len("genus_g:"):]
         return genus_surface(integer_literal(genus, f"genus in builtin name {name!r}"))
@@ -225,6 +219,6 @@ def classify_surface(cc: CellComplex) -> SurfaceVerdict:
         raise ClassificationError(
             f"not a surface: homology nonzero in dimension {above[0]}"
         )
-    chi = complex_.euler_from_dims()
+    chi = complex_.space.euler()
     g = genus_from_euler(chi)
     return SurfaceVerdict(genus=g, euler=chi, connected=True, orientable_assumed=True)

@@ -203,14 +203,6 @@ def _diagonal(rng: random.Random, n: int) -> RationalMatrix:
     return RationalMatrix.from_numerators(n, n, nums, 1)
 
 
-def sample_representations(
-    quiver: QuiverPresentation, cfg: SampleConfig
-) -> Iterator[Representation]:
-    """cfg.count valid representations, deterministic given cfg.seed."""
-    for index in range(cfg.count):
-        yield sample_representation_at(quiver, cfg, index)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 

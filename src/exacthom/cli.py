@@ -117,7 +117,7 @@ def cmd_floer(args) -> int:
     rep_a = _resolve_representation(args.rep_a)
     rep_b = _resolve_representation(args.rep_b)
     result = hom_complex(rep_a, rep_b)
-    chi = result.complex.euler_from_dims()
+    chi = result.complex.space.euler()
     if not result.differential_defined:
         _emit(
             args,

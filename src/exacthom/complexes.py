@@ -1,23 +1,34 @@
 """Cochain complexes over the rationals.
 
 A cochain complex is a graded vector space with a degree +1 differential
-squaring to zero.  Cohomology (a GradedVectorSpace of dimensions), Euler
-characteristic (computed two ways), shift, and direct sum are provided,
-together with a seeded generator of random valid complexes for property
-tests.  The differential stores only its nonzero blocks.
+squaring to zero.  Its cohomology is a GradedVectorSpace of dimensions, and
+its Euler characteristic is the space's euler().  The differential stores
+only its nonzero blocks.  A command that assembles a differential from
+dimensions it reads calls require_differential_fits first, so a short file
+cannot ask for an unbounded dense allocation.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Mapping
-
-from .errors import InvalidComplexError
+from .errors import FormatError, InvalidComplexError
 from .graded import GradedMap, GradedVectorSpace
-from .rational import RationalMatrix, block_diag
 
-# Entries of the random complexes' coefficient matrices.
-_ENTRY_POOL = (-2, -1, 0, 1, 2)
+# Dense entries a differential may hold, sum over p of dim C^p * dim C^(p+1).
+# The largest test or benchmark input holds 128,524 (verify sphere --seed 1
+# --count 50 --max-dim 24); floer on the sphere space {0: 20, 1: 20}, 1.92 M
+# entries, peaks at 42 MiB.
+MAX_DIFFERENTIAL_ENTRIES = 2_000_000
+
+
+def require_differential_fits(space: GradedVectorSpace) -> None:
+    """Raise FormatError if a differential on space needs over the budget."""
+    dims = space.dims
+    entries = sum(n * dims.get(p + 1, 0) for p, n in dims.items())
+    if entries > MAX_DIFFERENTIAL_ENTRIES:
+        raise FormatError(
+            f"differential needs {entries} entries, "
+            f"more than the {MAX_DIFFERENTIAL_ENTRIES} a complex may hold"
+        )
 
 
 class CochainComplex:
@@ -60,28 +71,6 @@ class CochainComplex:
         }
         return GradedVectorSpace(dims)
 
-    def euler_from_dims(self) -> int:
-        """Alternating sum of the chain dimensions."""
-        return self.space.euler()
-
-    def euler_from_cohomology(self) -> int:
-        """Alternating sum of the cohomology dimensions; equals euler_from_dims."""
-        return self.cohomology().euler()
-
-    def shift(self, s: int) -> "CochainComplex":
-        """Shifted complex: space moves by s, differential picks up (-1)^s."""
-        sign = -1 if s % 2 else 1
-        return CochainComplex(self.space.shift(s), self.differential.shift(s).scale(sign))
-
-    def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
-        space = self.space.direct_sum(other.space)
-        degrees = self.differential.blocks().keys() | other.differential.blocks().keys()
-        blocks = {
-            i: block_diag(self.differential.block(i), other.differential.block(i))
-            for i in degrees
-        }
-        return CochainComplex(space, GradedMap(space, space, 1, blocks))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CochainComplex):
             return NotImplemented
@@ -89,27 +78,3 @@ class CochainComplex:
 
     def __repr__(self) -> str:
         return f"CochainComplex(dims={self.space.dims})"
-
-
-def random_complex(dims: Mapping[int, int], seed: int) -> CochainComplex:
-    """Seeded random complex on the given dimensions, valid by construction.
-
-    Blocks are sampled in ascending degree.  Each block B must kill the
-    image of the previous block A, so B is drawn as C * K^T where the
-    columns of K span the kernel of A^T: then B*A = C*(A^T K)^T = 0.
-    """
-    space = GradedVectorSpace(dims)
-    rng = random.Random(seed)
-    blocks: Dict[int, RationalMatrix] = {}
-    if space.is_zero():
-        return CochainComplex.zero_differential(space)
-    lo, hi = min(space.degrees()), max(space.degrees())
-    prev = RationalMatrix.zero(space.dim(lo), 0)
-    for i in range(lo, hi + 1):
-        rows = space.dim(i + 1)
-        basis = prev.transpose().kernel_basis()
-        coeff = RationalMatrix(
-            rows, basis.cols, [rng.choice(_ENTRY_POOL) for _ in range(rows * basis.cols)]
-        )
-        blocks[i] = prev = coeff @ basis.transpose()
-    return CochainComplex(space, GradedMap(space, space, 1, blocks))

@@ -4,8 +4,7 @@ A graded vector space is a finite family of finite-dimensional rational
 vector spaces indexed by integers.  Only the dimensions are tracked; maps
 carry explicit matrices for the degrees where they are nonzero, and a
 missing degree is a zero block.  The grading is cohomological: a map of
-degree d sends degree i to degree i+d, and the shift V[s] is defined by
-V[s]^i = V^{i+s}.
+degree d sends degree i to degree i+d.
 """
 
 from __future__ import annotations
@@ -57,16 +56,6 @@ class GradedVectorSpace:
     def euler(self) -> int:
         """Alternating sum of dimensions."""
         return sum((-1 if n % 2 else 1) * d for n, d in self._dims.items())
-
-    def shift(self, s: int) -> "GradedVectorSpace":
-        """V[s] with V[s]^i = V^{i+s}."""
-        return GradedVectorSpace({k - s: d for k, d in self._dims.items()})
-
-    def direct_sum(self, other: "GradedVectorSpace") -> "GradedVectorSpace":
-        out = dict(self._dims)
-        for k, d in other._dims.items():
-            out[k] = out.get(k, 0) + d
-        return GradedVectorSpace(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedVectorSpace):
@@ -153,34 +142,6 @@ class GradedMap:
             if a is not None:
                 out[i] = a @ b
         return GradedMap(other.source, self.target, d, out)
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if (
-            self.source != other.source
-            or self.target != other.target
-            or self.degree != other.degree
-        ):
-            raise ShapeError("can only add maps with identical type and degree")
-        out = dict(self._blocks)
-        for i, b in other._blocks.items():
-            a = out.get(i)
-            out[i] = b if a is None else a + b
-        return GradedMap(self.source, self.target, self.degree, out)
-
-    def __neg__(self) -> "GradedMap":
-        return self.scale(-1)
-
-    def __sub__(self, other: "GradedMap") -> "GradedMap":
-        return self + (-other)
-
-    def scale(self, c) -> "GradedMap":
-        out = {i: b.scale(c) for i, b in self._blocks.items()}
-        return GradedMap(self.source, self.target, self.degree, out)
-
-    def shift(self, s: int) -> "GradedMap":
-        """Same matrices reindexed between shifted spaces; no sign."""
-        out = {i - s: b for i, b in self._blocks.items()}
-        return GradedMap(self.source.shift(s), self.target.shift(s), self.degree, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedMap):

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ._record import Record
-from .complexes import CochainComplex
+from .complexes import CochainComplex, require_differential_fits
 from .errors import (
     FormatError,
     RepresentationError,
@@ -320,7 +320,8 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
 
     The graded dimensions are always computed.  The differential exists
     iff every generator has formally vanishing differential (true for the
-    sphere presentation, false for the torus one).
+    sphere presentation, false for the torus one); a differential over the
+    entry budget of require_differential_fits is refused before it is built.
     """
     _require_same_quiver(v, w)
     quiver = v.quiver
@@ -328,6 +329,7 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     defined = quiver.all_differentials_vanish()
     if not defined:
         return HomComplexResult(CochainComplex.zero_differential(total), False)
+    require_differential_fits(total)
 
     # Column (i, r, c) of degree p is the elementary map E_rc: V^i -> W^{i+p}.
     # For x of degree e, x E_rc puts column r of rho_W(x) at W^{i+p} into

@@ -2,14 +2,17 @@
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, exact arithmetic).  Matrices are immutable, dense, row-major,
-and support the rank/kernel computations every homology calculation in
-this package reduces to.  A matrix stores Python int numerators over one
-positive denominator, in lowest terms, so products, sums, the zero test
-and rank run on ints and build no Fraction; rank is fraction-free
-(Bareiss) elimination on the numerators.  Entries read back one at a time
-are Fractions.  The Fraction reduced row echelon form is kept for the
-kernel basis.  Zero-by-n and n-by-zero matrices are first-class values:
-they represent zero maps in and out of the zero space.
+and carry only what the commands use: products, the zero test, rank and
+invertibility.  A matrix stores Python int numerators over one positive
+denominator, in lowest terms, so these run on ints and build no Fraction;
+rank is fraction-free (Bareiss) elimination on the numerators.  Entries
+read back one at a time are Fractions, and ``from_numerators``/``over``
+read and write the integer form, on which the tests build their own sums,
+scalings and transposes.  The Fraction reduced row echelon form and the
+kernel basis stay for the benchmark tracer and the tests: the first is
+rank's reference, the second draws their random complexes.  Zero-by-n and
+n-by-zero matrices are first-class values: they represent zero maps in and
+out of the zero space.
 """
 
 from __future__ import annotations
@@ -104,17 +107,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Scalar] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ShapeError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
-
     def over(self, den: int) -> tuple[int, ...]:
         """Numerators of the entries written over den, a multiple of the denominator."""
         k, r = divmod(den, self.denominator)
@@ -164,34 +156,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not any(self.numerators)
 
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._raw(
-            self.rows, self.cols, tuple(-x for x in self.numerators), self.denominator
-        )
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        den = lcm(self.denominator, other.denominator)
-        return RationalMatrix.from_numerators(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.over(den), other.over(den))],
-            den,
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "RationalMatrix":
-        f = rat(c)
-        k = f.numerator
-        return RationalMatrix.from_numerators(
-            self.rows, self.cols, [k * x for x in self.numerators], f.denominator * self.denominator
-        )
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Exact product; zero entries of either factor cost no arithmetic.
 
@@ -224,15 +188,6 @@ class RationalMatrix:
                         for j, y in row:
                             out[base + j] += x * y
         return RationalMatrix.from_numerators(m, n, out, self.denominator * other.denominator)
-
-    def transpose(self) -> "RationalMatrix":
-        nums, n = self.numerators, self.cols
-        return RationalMatrix._raw(
-            self.cols,
-            self.rows,
-            tuple(nums[i * n + j] for j in range(n) for i in range(self.rows)),
-            self.denominator,
-        )
 
     def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and pivot columns.
@@ -346,16 +301,3 @@ class RationalMatrix:
         """True iff square and full rank; the 0x0 matrix is invertible."""
         return self.rows == self.cols and self.rank() == self.rows
 
-
-def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Block-diagonal assembly; degenerate (zero-dimension) blocks collapse."""
-    den = lcm(a.denominator, b.denominator)
-    na, nb = a.over(den), b.over(den)
-    out: list[int] = []
-    for i in range(a.rows):
-        out += na[i * a.cols : (i + 1) * a.cols]
-        out += [0] * b.cols
-    for i in range(b.rows):
-        out += [0] * a.cols
-        out += nb[i * b.cols : (i + 1) * b.cols]
-    return RationalMatrix._raw(a.rows + b.rows, a.cols + b.cols, tuple(out), den)

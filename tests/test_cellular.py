@@ -12,8 +12,6 @@ from exacthom.cellular import (
     genus_from_euler,
     genus_surface,
     homology_of,
-    sphere,
-    torus,
 )
 from exacthom.errors import CellComplexError, ClassificationError, FormatError
 
@@ -53,18 +51,18 @@ class TestBuiltins:
         assert cells_per_dim(circle()) == {0: 1, 1: 1}
 
     def test_sphere_has_no_one_cells(self):
-        assert cells_per_dim(sphere()) == {0: 1, 2: 1}
+        assert cells_per_dim(genus_surface(0)) == {0: 1, 2: 1}
 
     def test_genus_one_is_torus(self):
-        assert genus_surface(1) == torus()
+        assert builtin("torus") == genus_surface(1)
 
     def test_genus_three_cell_count(self):
         assert cells_per_dim(genus_surface(3)) == {0: 1, 1: 6, 2: 1}
 
     def test_builtin_names(self):
         assert builtin("circle") == circle()
-        assert builtin("sphere") == sphere()
-        assert builtin("genus_g:1") == torus()
+        assert builtin("sphere") == genus_surface(0)
+        assert builtin("genus_g:1") == genus_surface(1)
 
     def test_unknown_builtin(self):
         with pytest.raises(FormatError):
@@ -110,7 +108,7 @@ class TestChainComplex:
         assert c.differential.is_zero()
 
     def test_torus_complex(self):
-        c = chain_complex_of(torus())
+        c = chain_complex_of(genus_surface(1))
         assert c.space.dims == {-2: 1, -1: 2, 0: 1}
         assert c.differential.is_zero()
 
@@ -165,21 +163,21 @@ class TestHomology:
         assert h.dims == {0: 1, 1: 1}
 
     def test_subdivided_sphere_matches_minimal(self):
-        assert homology_of(tetrahedron_boundary()) == homology_of(sphere())
+        assert homology_of(tetrahedron_boundary()) == homology_of(genus_surface(0))
 
     def test_subdivision_preserves_euler(self):
         fine = chain_complex_of(tetrahedron_boundary())
-        coarse = chain_complex_of(sphere())
-        assert fine.euler_from_dims() == coarse.euler_from_dims() == 2
+        coarse = chain_complex_of(genus_surface(0))
+        assert fine.space.euler() == coarse.space.euler() == 2
 
 
 class TestClassify:
     def test_torus_genus_one(self):
-        v = classify_surface(torus())
+        v = classify_surface(genus_surface(1))
         assert v.genus == 1 and v.euler == 0 and v.connected
 
     def test_sphere_genus_zero(self):
-        assert classify_surface(sphere()).genus == 0
+        assert classify_surface(genus_surface(0)).genus == 0
 
     def test_all_small_genera(self):
         for g in range(6):

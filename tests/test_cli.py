@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -477,6 +478,32 @@ class TestDegreeSpan:
             f"error: degrees {-top}..{top + 2} span {2 * top + 2}, "
             f"more than the {cli._MAX_DEGREE_SPAN} a table may list\n"
         )
+
+
+class TestDifferentialBudget:
+    """A differential over complexes.MAX_DIFFERENTIAL_ENTRIES is refused before it is built."""
+
+    REFUSED = "error: differential needs {} entries, more than the 2000000 a complex may hold\n"
+
+    def test_floer_refused_over_budget_only(self, capsys, tmp_path):
+        # HF of {0: n, 1: n} with itself needs 9.72 M entries at n = 30 and 1.92 M at n = 20.
+        path = write_json(tmp_path, {"quiver": "sphere", "space": {"0": 30, "1": 30}})
+        tracemalloc.start()
+        try:
+            result = run(capsys, "floer", path, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", self.REFUSED.format(9720000))
+        assert peak < 1 << 20
+        path = write_json(tmp_path, {"quiver": "sphere", "space": {"0": 20, "1": 20}})
+        assert run(capsys, "floer", path, path) == (0, "HF-1=400 HF0=800 HF1=800 HF2=800 HF3=400 chi=0\n", "")
+
+    @pytest.mark.parametrize("command", ["homology", "classify"])
+    def test_cells_over_budget_refused(self, capsys, tmp_path, command):
+        cells = [{"id": f"{d}.{k}", "dim": d} for d in (0, 1) for k in range(1500)]
+        path = write_json(tmp_path, {"cells": cells})
+        assert run(capsys, command, path) == (2, "", self.REFUSED.format(2250000))
 
 
 class TestStartup:

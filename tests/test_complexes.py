@@ -2,23 +2,17 @@ import hashlib
 import random
 
 import pytest
+from reference import direct_sum, graded_map, random_complex, shift
 from test_acceptance import SEED, _random_dims
 
-from exacthom.complexes import (
-    CochainComplex,
-    random_complex,
-)
+from exacthom.complexes import CochainComplex
 from exacthom.errors import InvalidComplexError
 from exacthom.graded import GradedMap, GradedVectorSpace
-from exacthom.rational import RationalMatrix
 
 
 def complex_from(dims, blocks=None):
     space = GradedVectorSpace(dims)
-    mats = {
-        i: RationalMatrix.from_rows(m) for i, m in (blocks or {}).items()
-    }
-    return CochainComplex(space, GradedMap(space, space, 1, mats))
+    return CochainComplex(space, graded_map(space, space, 1, blocks or {}))
 
 
 def surface_complex(g):
@@ -66,7 +60,7 @@ class TestCheckOnce:
         c = complex_from({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[0, 1]]})
         first = c.cohomology()
         assert c.cohomology() == first
-        assert c.euler_from_cohomology() == c.euler_from_dims()
+        assert c.cohomology().euler() == c.space.euler()
         assert len(products) == 1
 
     def test_cached_cohomology_cannot_be_mutated(self):
@@ -107,17 +101,17 @@ class TestCohomology:
 class TestEuler:
     def test_genus_g_surface(self):
         for g in range(6):
-            assert surface_complex(g).euler_from_dims() == 2 - 2 * g
+            assert surface_complex(g).space.euler() == 2 - 2 * g
 
     def test_zero_complex(self):
-        assert complex_from({}).euler_from_dims() == 0
+        assert complex_from({}).space.euler() == 0
 
     def test_sphere(self):
-        assert complex_from({-2: 1, 0: 1}).euler_from_dims() == 2
+        assert complex_from({-2: 1, 0: 1}).space.euler() == 2
 
     def test_zero_differential_trivially_agrees(self):
         c = complex_from({0: 2, 1: 3, 3: 1})
-        assert c.euler_from_dims() == c.euler_from_cohomology()
+        assert c.space.euler() == c.cohomology().euler()
 
     def test_both_formulas_agree_on_random_complexes(self):
         """Oracle: compute both alternating sums independently here."""
@@ -132,13 +126,13 @@ class TestEuler:
                 (-1 if i % 2 else 1) * d for i, d in c.cohomology().dims.items()
             )
             assert by_dims == by_cohomology
-            assert c.euler_from_dims() == by_dims
+            assert c.space.euler() == by_dims
 
 
 class TestShift:
     def test_zero_shift_is_identity(self):
         c = complex_from({0: 1, 1: 2}, {0: [[1], [0]]})
-        assert c.shift(0) == c
+        assert shift(c, 0) == c
 
     def test_euler_sign(self):
         rng = random.Random(23)
@@ -147,12 +141,12 @@ class TestShift:
             c = random_complex(dims, seed=100 + k)
             for s in range(-3, 4):
                 sign = -1 if s % 2 else 1
-                assert c.shift(s).euler_from_dims() == sign * c.euler_from_dims()
+                assert shift(c, s).space.euler() == sign * c.space.euler()
 
     def test_double_shift_restores_sign(self):
         c = complex_from({0: 1, 1: 1}, {0: [[2]]})
-        assert c.shift(1).shift(1) == c.shift(2)
-        assert c.shift(2).differential.block(-2) == c.differential.block(0)
+        assert shift(shift(c, 1), 1) == shift(c, 2)
+        assert shift(c, 2).differential.block(-2) == c.differential.block(0)
 
     def test_shift_translates_cohomology(self):
         rng = random.Random(29)
@@ -161,26 +155,26 @@ class TestShift:
             c = random_complex(dims, seed=200 + k)
             h = c.cohomology()
             for s in (-2, -1, 1, 3):
-                hs = c.shift(s).cohomology()
+                hs = shift(c, s).cohomology()
                 assert all(hs.dim(i) == h.dim(i + s) for i in range(-6, 7))
 
     def test_shift_preserves_validity(self):
         c = complex_from({0: 2, 1: 2}, {0: [[1, 1], [1, 1]]})
-        assert c.shift(-1).validate() and c.shift(3).validate()
+        assert shift(c, -1).validate() and shift(c, 3).validate()
 
 
 class TestDirectSum:
     def test_zero_neutral(self):
         c = complex_from({0: 1, 1: 1}, {0: [[3]]})
         z = complex_from({})
-        assert c.direct_sum(z) == c
+        assert direct_sum(c, z) == c
 
     def test_euler_additive(self):
         rng = random.Random(31)
         for k in range(20):
             a = random_complex({i: rng.randint(0, 2) for i in range(-2, 2)}, seed=k)
             b = random_complex({i: rng.randint(0, 2) for i in range(0, 3)}, seed=k + 500)
-            assert a.direct_sum(b).euler_from_dims() == a.euler_from_dims() + b.euler_from_dims()
+            assert direct_sum(a, b).space.euler() == a.space.euler() + b.space.euler()
 
     def test_cohomology_additive(self):
         """Oracle: block-diagonal rank additivity means the sum's cohomology
@@ -190,7 +184,7 @@ class TestDirectSum:
             a = random_complex({i: rng.randint(0, 2) for i in range(-2, 2)}, seed=k)
             b = random_complex({i: rng.randint(0, 2) for i in range(-1, 3)}, seed=k + 900)
             ha, hb = a.cohomology(), b.cohomology()
-            hs = a.direct_sum(b).cohomology()
+            hs = direct_sum(a, b).cohomology()
             for i in range(-4, 5):
                 assert hs.dim(i) == ha.dim(i) + hb.dim(i)
 

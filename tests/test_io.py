@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import matrix
 
 from exacthom.cellular import CellComplex
 from exacthom.complexes import CochainComplex
@@ -108,7 +109,7 @@ def reference_parse_matrix(obj) -> RationalMatrix:
             raise FormatError(f"matrix row must be a list, got {type(row).__name__}")
         parsed.append([reference_scalar(x) for x in row])
     try:
-        return RationalMatrix.from_rows(parsed)
+        return matrix(parsed)
     except ShapeError as exc:
         raise FormatError(str(exc))
 

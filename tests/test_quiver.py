@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import (
+    add, block_diag, fraction_rank, graded_map, map_add, map_scale, matrix, scale, space_shift, space_sum,
+)
 
 from exacthom.errors import (
     FormatError,
@@ -23,35 +26,12 @@ from exacthom.quiver import (
     torus_trivial_representation,
     zero_section_representation,
 )
-from exacthom.rational import RationalMatrix, block_diag
-
-
-def _rank(rows):
-    """Independent rank computation for oracle cross-checks."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c] / m[rank][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+from exacthom.rational import RationalMatrix
 
 
 def sphere_rep(dims, blocks):
     space = GradedVectorSpace(dims)
-    f = GradedMap(
-        space, space, -1, {i: RationalMatrix.from_rows(m) for i, m in blocks.items()}
-    )
-    return Representation(sphere_quiver(), space, {"z": f})
+    return Representation(sphere_quiver(), space, {"z": graded_map(space, space, -1, blocks)})
 
 
 def elementary_block(v, w, p):
@@ -71,7 +51,7 @@ def elementary_block(v, w, p):
         off = u.dim(p + 1)
         for g in gens:
             sign = -1 if (p * g.degree) % 2 else 1
-            image = w.maps[g.name] @ t - (t @ v.maps[g.name]).scale(sign)
+            image = map_add(w.maps[g.name] @ t, map_scale(t @ v.maps[g.name], -sign))
             for k, val in enumerate(hom_coordinates(image)):
                 grid[off + k][col] = val
             off += u.dim(p + g.degree)
@@ -91,12 +71,9 @@ def random_sphere_rep(rng, pool=(0, 1, -2, "1/2", "-3/4"), degrees=range(-1, 3),
 
 def torus_rep(dims, alpha, beta, gamma=None):
     space = GradedVectorSpace(dims)
-    mk = lambda d, blocks: GradedMap(
-        space, space, d, {i: RationalMatrix.from_rows(m) for i, m in blocks.items()}
-    )
-    maps = {"m": mk(0, alpha), "n": mk(0, beta)}
+    maps = {"m": graded_map(space, space, 0, alpha), "n": graded_map(space, space, 0, beta)}
     if gamma:
-        maps["h"] = mk(-1, gamma)
+        maps["h"] = graded_map(space, space, -1, gamma)
     return Representation(torus_quiver(), space, maps)
 
 
@@ -189,9 +166,9 @@ class TestValidation:
 
     def test_commutator_oracle(self):
         # direct computation: ab - ba = [[1,0],[0,-1]] for these two
-        a = RationalMatrix.from_rows([[1, 1], [0, 1]])
-        b = RationalMatrix.from_rows([[1, 0], [1, 1]])
-        comm = a @ b - b @ a
+        a = matrix([[1, 1], [0, 1]])
+        b = matrix([[1, 0], [1, 1]])
+        comm = add(a @ b, scale(b @ a, -1))
         assert comm.to_lists() == [[1, 0], [0, -1]]
 
     def test_singular_invertible_generator_fails(self):
@@ -222,7 +199,7 @@ def reference_first_violation(quiver, space, maps):
 
     Generators missing from maps act by zero.  Each word is composed as
     GradedMaps, the terms are scaled and added, and the sum is tested with
-    is_zero; invertibility is a rank from _rank.
+    is_zero; invertibility is a rank from fraction_rank.
     """
     maps = {g.name: maps[g.name] if g.name in maps else GradedMap.zero(space, space, g.degree)
             for g in quiver.generators}
@@ -235,14 +212,14 @@ def reference_first_violation(quiver, space, maps):
             m = maps[word[0]]
             for x in word[1:]:
                 m = m @ maps[x]
-            m = m.scale(coeff)
-            acc = m if acc is None else acc + m
+            m = map_scale(m, coeff)
+            acc = m if acc is None else map_add(acc, m)
         if acc is not None and not acc.is_zero():
             return f"relation:{name}"
     for g in quiver.generators:
         if g.invertible:
             for i in space.degrees():
-                if _rank(maps[g.name].block(i).to_lists()) != space.dim(i):
+                if fraction_rank(maps[g.name].block(i).to_lists()) != space.dim(i):
                     return f"invertibility:{g.name}"
     return None
 
@@ -357,7 +334,7 @@ class TestHomComplex:
     def test_graded_dims_are_shifted_hom_copies(self):
         rep = sphere_rep({0: 2, 2: 1}, {})
         u = hom_space(rep.space, rep.space)
-        total = u.direct_sum(u.shift(-2))
+        total = space_sum(u, space_shift(u, -2))
         assert hom_complex(rep, rep).complex.space == total
 
     def test_quiver_mismatch(self):
@@ -419,7 +396,7 @@ class TestHomComplex:
 
         # cohomology recomputed from the hand blocks with an independent rank
         dims = result.complex.space.dims
-        ranks = {p: _rank(rows) for p, rows in expected.items()}
+        ranks = {p: fraction_rank(rows) for p, rows in expected.items()}
         hand = {
             n: dims.get(n, 0) - ranks.get(n, 0) - ranks.get(n - 1, 0)
             for n in dims
@@ -492,7 +469,7 @@ class TestFloer:
         rng = random.Random(23)
 
         def direct_sum(a, b):
-            space = a.space.direct_sum(b.space)
+            space = space_sum(a.space, b.space)
             za, zb = a.maps["z"], b.maps["z"]
             z = GradedMap(
                 space, space, -1, {i: block_diag(za.block(i), zb.block(i)) for i in space.degrees()}
