@@ -164,10 +164,13 @@ def genus_surface(g: int) -> CellComplex:
 
     Each 1-cell is traversed once in each direction by the 2-cell's
     attaching word and hits the unique 0-cell with cancelling signs, so
-    every incidence count is 1 - 1 = 0.
+    every incidence count is 1 - 1 = 0.  A genus whose boundary would
+    exceed the entry budget of require_differential_fits is refused before
+    any cell is built.
     """
     if g < 0:
         raise FormatError("genus must be nonnegative")
+    require_differential_fits(GradedVectorSpace({0: 1, -1: 2 * g, -2: 1}))
     cells = [("v", 0)]
     cells += [(f"a{k}", 1) for k in range(1, 2 * g + 1)]
     cells.append(("f", 2))

@@ -30,7 +30,7 @@ from .quiver import (
     sphere_quiver,
     torus_quiver,
 )
-from .rational import RationalMatrix, Scalar
+from .rational import RationalMatrix, Scalar, combination_vanishes
 
 _MASK64 = (1 << 64) - 1
 
@@ -233,7 +233,8 @@ def commuting_invertible_pairs(
     """Every ordered pair (a, b) of invertible dim x dim matrices over pool
     with ab = ba, in the order of enumerate_matrices for a, then for b.
 
-    Commuting is symmetric, so each unordered pair is multiplied once.
+    Commuting is symmetric, so each unordered pair is checked once, by
+    whether ab - ba vanishes.
     """
     invertible = [m for m in enumerate_matrices(dim, dim, pool) if m.is_invertible()]
     # partners[i] lists, ascending, the j whose matrix commutes with matrix i.
@@ -242,7 +243,7 @@ def commuting_invertible_pairs(
         partners[i].append(i)
         for j in range(i + 1, len(invertible)):
             b = invertible[j]
-            if a @ b == b @ a:
+            if combination_vanishes(((1, a, b), (-1, b, a))):
                 partners[i].append(j)
                 partners[j].append(i)
     return tuple((a, invertible[j]) for a, row in zip(invertible, partners) for j in row)

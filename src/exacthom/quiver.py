@@ -6,8 +6,8 @@ words of length at most 2 (all the built-in categories need).  A
 representation assigns a graded vector space with zero differential and
 one graded map per generator, and its constructor refuses one that breaks
 the degree, relation, or invertibility constraints.  A relation is checked
-one source degree at a time, on the stored blocks' int numerators: each
-word's product is added straight into one sum over a common denominator.
+one source degree at a time by rational.combination_vanishes, which forms
+the sum of its words' products one row at a time and holds at most one row.
 
 The morphism complex of two representations is one unshifted copy of the
 graded hom space plus one copy shifted by |x|-1 per generator x.  Its
@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ._record import Record
 from .complexes import CochainComplex, require_differential_fits
@@ -35,7 +35,7 @@ from .errors import (
 from .graded import GradedMap, GradedVectorSpace, hom_block_layout, hom_space
 # Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
 from .graded import hom_basis, hom_coordinates  # noqa: F401
-from .rational import RationalMatrix
+from .rational import RationalMatrix, combination_vanishes
 
 Word = Tuple[str, ...]
 Term = Tuple[int, Word]
@@ -187,11 +187,8 @@ class Representation(Record):
 
         Checks every generator's degree, then each relation in order, then
         the invertibility of every block of every invertible generator.  A
-        relation is checked one source degree i at a time, on the stored
-        blocks' int numerators: each word's block at i, scaled to the lcm of
-        the terms' denominators, is added into one accumulator (a letter
-        without a block there making the term zero), and the relation holds
-        at i iff the accumulator is all zero.
+        relation holds at source degree i iff combination_vanishes finds
+        the sum of its words' composites out of degree i zero.
         """
         for g in self.quiver.generators:
             if self.maps[g.name].degree != g.degree:
@@ -200,15 +197,19 @@ class Representation(Record):
         degree_of = {g.name: g.degree for g in self.quiver.generators}
         degrees = self.space.degrees()
         for name, terms in self.quiver.relations:
-            if not terms:
-                continue
             for i in degrees:
-                words = [
-                    (coeff, letters)
-                    for coeff, word in terms
-                    if (letters := _word_letters(blocks, degree_of, word, i)) is not None
-                ]
-                if words and any(_relation_sum(words)):
+                # The word x y applies y, then x; a letter without a block
+                # there makes its term zero.
+                combination = []
+                for coeff, word in terms:
+                    first = blocks[word[-1]].get(i)
+                    if first is None:
+                        continue
+                    if len(word) == 1:
+                        combination.append((coeff, first, None))
+                    elif (second := blocks[word[0]].get(i + degree_of[word[-1]])) is not None:
+                        combination.append((coeff, second, first))
+                if combination and not combination_vanishes(combination):
                     return f"relation:{name}"
         for g in self.quiver.generators:
             if not g.invertible:
@@ -219,60 +220,6 @@ class Representation(Record):
                 if b is None or not b.is_invertible():
                     return f"invertibility:{g.name}"
         return None
-
-
-def _word_letters(
-    blocks: Mapping[str, Mapping[int, RationalMatrix]],
-    degree_of: Mapping[str, int],
-    word: Word,
-    i: int,
-) -> Optional[Tuple[Tuple[RationalMatrix, ...], int]]:
-    """Blocks the letters of word act by, from source degree i, in the order
-    they are applied (last letter first), and the product of their
-    denominators; None where a letter has no block, that is, where the
-    composite is 0."""
-    out = []
-    den = 1
-    for x in reversed(word):
-        b = blocks[x].get(i)
-        if b is None:
-            return None
-        out.append(b)
-        den *= b.denominator
-        i += degree_of[x]
-    return tuple(out), den
-
-
-def _relation_sum(words: List[Tuple[int, Tuple[Tuple[RationalMatrix, ...], int]]]) -> List[int]:
-    """Numerators of sum coeff * composite over (coeff, (letter blocks, den))
-    words, over the lcm of their dens.
-
-    Words have one or two letters and share one shape.  A two-letter
-    product is added entry by entry into the sum, multiplying only nonzero
-    factors, with no matrix built for it.
-    """
-    den = lcm(*[d for _, (_, d) in words])
-    first = words[0][1][0]
-    cols = first[0].cols
-    acc = [0] * (first[-1].rows * cols)
-    for coeff, (letters, d) in words:
-        scale = coeff * (den // d)
-        if len(letters) == 1:
-            for j, x in enumerate(letters[0].numerators):
-                if x:
-                    acc[j] += scale * x
-            continue
-        right, left = letters
-        inner, rnums = right.rows, right.numerators
-        for j, x in enumerate(left.numerators):
-            if x:
-                r, t = divmod(j, inner)
-                x *= scale
-                base = r * cols
-                for c, y in enumerate(rnums[t * cols : (t + 1) * cols]):
-                    if y:
-                        acc[base + c] += x * y
-    return acc
 
 
 def _require_same_quiver(v: Representation, w: Representation) -> None:

@@ -5,7 +5,10 @@ denominator, exact arithmetic).  Matrices are immutable, dense, row-major,
 and carry only what the commands use: products, the zero test, rank and
 invertibility.  A matrix stores Python int numerators over one positive
 denominator, in lowest terms, so these run on ints and build no Fraction;
-rank is fraction-free (Bareiss) elimination on the numerators.  Entries
+rank is fraction-free (Bareiss) elimination on the numerators.  One row
+loop forms sums of products c * L @ R a numerator row at a time: the
+product collects its rows, and combination_vanishes, behind the d^2,
+relation and commuting checks, stops at the first nonzero row.  Entries
 read back one at a time are Fractions, and ``from_numerators``/``over``
 read and write the integer form, on which the tests build their own sums,
 scalings and transposes.  The Fraction reduced row echelon form and the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ShapeError, rational_literal
 
@@ -157,37 +160,10 @@ class RationalMatrix:
         return not any(self.numerators)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Exact product; zero entries of either factor cost no arithmetic.
-
-        The numerators multiply as ints over the product of the two
-        denominators, reduced once.  Each nonzero left entry (i, t) is
-        multiplied only into the nonzero entries of right row t: one
-        multiply-add per pair of nonzero factors, not rows * inner * cols.
-        The nonzeros of right row t are listed the first time a nonzero
-        left entry needs them, so rows the left factor never uses cost nothing.
-        """
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        m, k, n = self.rows, self.cols, other.cols
-        out = [0] * (m * n)
-        if m and k and n:
-            right = other.numerators
-            right_rows: list = [None] * k
-            left = self.numerators
-            for i in range(m):
-                base = i * n
-                for t, x in enumerate(left[i * k : (i + 1) * k]):
-                    if x:
-                        row = right_rows[t]
-                        if row is None:
-                            row = right_rows[t] = [
-                                (j, y) for j, y in enumerate(right[t * n : (t + 1) * n]) if y
-                            ]
-                        for j, y in row:
-                            out[base + j] += x * y
-        return RationalMatrix.from_numerators(m, n, out, self.denominator * other.denominator)
+        """Exact product, formed row by row by _combination_rows."""
+        out = [x for row in _combination_rows([(1, self, other)]) for x in row]
+        den = self.denominator * other.denominator
+        return RationalMatrix.from_numerators(self.rows, other.cols, out, den)
 
     def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and pivot columns.
@@ -301,3 +277,64 @@ class RationalMatrix:
         """True iff square and full rank; the 0x0 matrix is invertible."""
         return self.rows == self.cols and self.rank() == self.rows
 
+
+
+def _combination_rows(terms: Sequence[tuple]) -> Iterator[list[int]]:
+    """Numerator rows of sum c * L @ R over the lcm of the terms' denominators.
+
+    Each term is (c, L, R) with an int c, or (c, L, None) for c * L alone,
+    and all terms have one shape.  A row is formed only when it is asked
+    for, so at most one row of the sum is held.  Zero entries of either
+    factor cost no arithmetic: each nonzero left entry (i, t) is multiplied
+    only into the nonzero entries of right row t, listed the first time a
+    nonzero left entry needs them, so rows the left factor never uses cost
+    nothing.
+    """
+    left, right = terms[0][1], terms[0][2]
+    rows, cols = left.rows, (right or left).cols
+    dens = []
+    for _, left, right in terms:
+        if right is not None and left.cols != right.rows:
+            raise ShapeError(
+                f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}"
+            )
+        if left.rows != rows or (right or left).cols != cols:
+            raise ShapeError(f"a {left.rows}x{(right or left).cols} term in a {rows}x{cols} sum")
+        dens.append(left.denominator * (right.denominator if right else 1))
+    den = lcm(*dens)
+    scaled = [
+        (c * (den // d), left.cols, left.numerators, right and right.numerators,
+         right and [None] * right.rows)
+        for (c, left, right), d in zip(terms, dens)
+    ]
+    for i in range(rows):
+        acc = [0] * cols
+        for scale, k, left_nums, right_nums, right_rows in scaled:
+            left_row = left_nums[i * k : (i + 1) * k]
+            if right_nums is None:
+                for j, x in enumerate(left_row):
+                    if x:
+                        acc[j] += scale * x
+                continue
+            for t, x in enumerate(left_row):
+                if x:
+                    row = right_rows[t]
+                    if row is None:
+                        row = right_rows[t] = [
+                            (j, y) for j, y in enumerate(right_nums[t * cols : (t + 1) * cols]) if y
+                        ]
+                    x *= scale
+                    for j, y in row:
+                        acc[j] += x * y
+        yield acc
+
+
+def combination_vanishes(terms: Sequence[tuple]) -> bool:
+    """True iff sum c * L @ R over the terms of _combination_rows is zero.
+
+    It stops at the first nonzero row, so it holds one row of the sum.
+    """
+    for row in _combination_rows(terms):
+        if any(row):
+            return False
+    return True

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from exacthom import complexes
 from exacthom.cellular import (
     CellComplex,
     SurfaceVerdict,
@@ -71,6 +72,24 @@ class TestBuiltins:
     def test_negative_genus(self):
         with pytest.raises(FormatError):
             genus_surface(-1)
+
+    def test_oversized_genus_refused_before_any_cell(self):
+        """1 + 2g + 1 cells at about 200 B each would take 240 MB here."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="^differential needs 2400000 entries, more than the 2000000"):
+                builtin("genus_g:600000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_genus_budget_is_the_boundary_budget(self, monkeypatch):
+        # the boundary of genus g holds 2g + 2g entries: 8 fit at g = 2
+        monkeypatch.setattr(complexes, "MAX_DIFFERENTIAL_ENTRIES", 8)
+        assert homology_of(builtin("genus_g:2")).dims == {0: 1, 1: 4, 2: 1}
+        with pytest.raises(FormatError, match="^differential needs 12 entries, more than the 8"):
+            builtin("genus_g:3")
 
 
 class TestEquality:

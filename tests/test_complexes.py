@@ -1,13 +1,16 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from reference import direct_sum, graded_map, random_complex, shift
 from test_acceptance import SEED, _random_dims
 
+from exacthom import complexes
 from exacthom.complexes import CochainComplex
 from exacthom.errors import InvalidComplexError
 from exacthom.graded import GradedMap, GradedVectorSpace
+from exacthom.io import parse_complex
 
 
 def complex_from(dims, blocks=None):
@@ -44,29 +47,70 @@ class TestValidate:
 
 class TestCheckOnce:
     @pytest.fixture
-    def products(self, monkeypatch):
-        """Counts graded compositions: the d^2 check is the only one here."""
+    def composites(self, monkeypatch):
+        """Counts d^2 composites checked: one combination_vanishes call each."""
         calls = []
-        compose = GradedMap.__matmul__
+        vanishes = complexes.combination_vanishes
 
-        def counted(f, g):
-            calls.append((f, g))
-            return compose(f, g)
+        def counted(terms):
+            calls.append(terms)
+            return vanishes(terms)
 
-        monkeypatch.setattr(GradedMap, "__matmul__", counted)
+        monkeypatch.setattr(complexes, "combination_vanishes", counted)
         return calls
 
-    def test_checked_complex_squares_once(self, products):
+    def test_checked_complex_squares_once(self, composites):
         c = complex_from({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[0, 1]]})
         first = c.cohomology()
         assert c.cohomology() == first
         assert c.cohomology().euler() == c.space.euler()
-        assert len(products) == 1
+        assert len(composites) == 1
 
     def test_cached_cohomology_cannot_be_mutated(self):
         c = surface_complex(1)
         c.cohomology().dims[0] = 99
         assert c.cohomology().dims == {-2: 1, -1: 2, 0: 1}
+
+
+def traced_peak(build):
+    """build() and the peak of its tracemalloc-traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSquareCheckMemory:
+    """The d^2 check holds one row of a composite, never all of it.
+
+    Blocks of n entries through a middle degree of dimension 1 or 2 have an
+    n x n composite, which would take 8 n^2 bytes as a list (8 MB here).
+    """
+
+    N = 1000
+
+    def test_refused_without_the_whole_composite(self):
+        n = self.N
+        doc = {"dims": {"0": n, "1": 1, "2": n}, "differential": {"0": [[1] * n], "1": [[1]] * n}}
+
+        def build():
+            with pytest.raises(InvalidComplexError, match="differential does not square to zero"):
+                parse_complex(doc)
+
+        _, peak = traced_peak(build)
+        assert peak < 2 << 20
+
+    def test_cancelling_composite_accepted(self):
+        n = self.N
+        doc = {
+            "dims": {"0": n, "1": 2, "2": n},
+            "differential": {"0": [[1] * n, [-1] * n], "1": [[1, 1]] * n},
+        }
+        cx, peak = traced_peak(lambda: parse_complex(doc))
+        assert peak < 2 << 20
+        assert cx.cohomology().dims == {0: n - 1, 2: n - 1}
 
 
 class TestCohomology:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,31 @@ class TestValidation:
             Representation(
                 sphere_quiver(), space, {"w": GradedMap.zero(space, space, 0)}
             )
+
+    def test_relation_check_holds_one_row(self):
+        """dg = xy through a 1-dimensional degree: xy is n x n, all ones.
+
+        As a list it would take 8 n^2 bytes (8 MB here); the check stops at
+        its first row.
+        """
+        n = 1000
+        quiver = QuiverPresentation(
+            (Generator("x", 1), Generator("y", 1), Generator("g", 1)),
+            (("g", ((1, ("x", "y")),)),),
+        )
+        space = GradedVectorSpace({0: n, 1: 1, 2: n})
+        maps = {
+            "y": GradedMap(space, space, 1, {0: RationalMatrix.from_numerators(1, n, [1] * n, 1)}),
+            "x": GradedMap(space, space, 1, {1: RationalMatrix.from_numerators(n, 1, [1] * n, 1)}),
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(RepresentationError, match="^invalid representation: constraint relation:g$"):
+                Representation(quiver, space, maps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_missing_maps_default_to_zero(self):
         rep = Representation(sphere_quiver(), GradedVectorSpace({0: 1}), {})

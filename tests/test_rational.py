@@ -6,7 +6,8 @@ import pytest
 from reference import add, block_diag, fraction_rank, matrix, scale, transpose
 
 from exacthom.errors import FormatError, ShapeError
-from exacthom.rational import RationalMatrix, rat
+from exacthom.classify import commuting_invertible_pairs, enumerate_matrices
+from exacthom.rational import RationalMatrix, combination_vanishes, rat
 
 
 class TestRank:
@@ -129,6 +130,101 @@ class TestProductOracle:
             )
             got = a @ b
             assert [Fraction(int(x.p), int(x.q)) for x in expected] == list(got.entries())
+
+
+def combination_cases(seed, count=400):
+    """Seeded (terms, kind) lists of one shape, kind naming how they end.
+
+    Terms are (c, L, R) with R a matrix or None, coefficients of either
+    sign and entries from the "p/q" pool, so their denominators differ.
+    Shapes include 0xn, nx0 and an inner dimension of 0.  "free" lists
+    keep their random sum; "cancel" lists end with terms equal to minus
+    that sum, written in one of several forms with their own
+    denominators; "one_row" cancels all but one row of it.
+    """
+    rng = random.Random(seed)
+    fixed = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (3, 2, 3)]
+    shapes = fixed * 3 + [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)) for _ in range(count)]
+    for m, k, n in shapes:
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            fill = rng.choice((0.2, 0.5, 1.0))
+            if rng.random() < 0.4:
+                terms.append((c, random_matrix(rng, m, n, fill), None))
+            else:
+                terms.append((c, random_matrix(rng, m, k, fill), random_matrix(rng, k, n, fill)))
+        kind = rng.choice(("free", "cancel", "one_row"))
+        if kind != "free":
+            total = RationalMatrix.zero(m, n)
+            for c, left, right in terms:
+                total = add(total, scale(left if right is None else matrix_of(left, right), c))
+            if kind == "one_row" and m:
+                i = rng.randrange(m)
+                nums = list(total.numerators)
+                nums[i * n : (i + 1) * n] = [0] * n
+                total = RationalMatrix.from_numerators(m, n, nums, total.denominator)
+            form = rng.randrange(4)
+            if form == 0:
+                terms.append((-1, total, None))
+            elif form == 1:
+                terms.append((-2, scale(total, "1/2"), None))
+            elif form == 2:
+                terms.append((-1, scale(total, "1/3"), scale(RationalMatrix.identity(n), 3)))
+            else:
+                terms.append((-1, RationalMatrix.identity(m), total))
+        rng.shuffle(terms)
+        yield terms, kind
+
+
+def matrix_of(left, right):
+    """left @ right by the dense Fraction reference, not by the row loop under @."""
+    return RationalMatrix(
+        left.rows, right.cols, ref_product(left.entries(), right.entries(), left.rows, left.cols, right.cols)
+    )
+
+
+def reference_vanishes(terms):
+    m, n = terms[0][1].rows, (terms[0][2] or terms[0][1]).cols
+    total = RationalMatrix.zero(m, n)
+    for c, left, right in terms:
+        total = add(total, scale(left if right is None else matrix_of(left, right), c))
+    return total.is_zero()
+
+
+class TestCombinationOracle:
+    def test_matches_sum_of_products(self):
+        seen = {}
+        for terms, kind in combination_cases(seed=61):
+            expected = reference_vanishes(terms)
+            assert combination_vanishes(terms) == expected, (kind, terms)
+            seen[kind, expected] = seen.get((kind, expected), 0) + 1
+        # cancelled sums vanish, and the others mostly do not
+        assert seen["cancel", True] > 50 and ("cancel", False) not in seen
+        assert seen["free", False] > 50 and seen["one_row", False] > 50
+
+    def test_commuting_pairs_cancel_exactly(self):
+        pool = (-1, 1, 2)
+        pairs = commuting_invertible_pairs(2, pool)
+        assert pairs
+        for a, b in pairs:
+            assert combination_vanishes(((1, a, b), (-1, b, a)))
+            assert reference_vanishes(((1, a, b), (-1, b, a)))
+        commuting = set(pairs)
+        a = pairs[0][0]
+        for b in (m for m in enumerate_matrices(2, 2, pool) if m.is_invertible()):
+            terms = ((1, a, b), (-1, b, a))
+            assert combination_vanishes(terms) == ((a, b) in commuting) == reference_vanishes(terms)
+
+    def test_shape_mismatch(self):
+        a, b = matrix([[1, 2]]), matrix([[1], [2]])
+        for terms in [
+            [(1, a, a)],
+            [(1, b, a), (1, a, b)],
+            [(1, a, None), (1, b, None)],
+        ]:
+            with pytest.raises(ShapeError):
+                combination_vanishes(terms)
 
 
 def rank_cases(seed, count=200):
