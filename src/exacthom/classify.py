@@ -8,18 +8,24 @@ over several degrees.  The torus check is the Euler-characteristic
 cancellation.  Violations are collected into reports, never thrown: the
 reports are the output.
 
-Sampling is deterministic per (seed, index), so parallel and serial runs
-of the same configuration produce identical reports.
+Sampling is deterministic per (seed, index), and the exhaustive
+representations come in a fixed order, so a sweep can be split: _sweep
+numbers its items (the exhaustive ones, then the samples) and hands
+chunks of consecutive positions to forked children as each child comes
+free (see _shares); the violations come back in position order.  A run on
+one CPU and a run split over several report the same, byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from functools import lru_cache, partial
+from operator import mul
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._record import Record
+from ._shares import run_chunks, worker_count
 from .errors import FormatError, RepresentationError
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import (
@@ -30,7 +36,7 @@ from .quiver import (
     sphere_quiver,
     torus_quiver,
 )
-from .rational import RationalMatrix, Scalar, combination_vanishes
+from .rational import RationalMatrix, Scalar
 
 _MASK64 = (1 << 64) - 1
 
@@ -233,20 +239,38 @@ def commuting_invertible_pairs(
     """Every ordered pair (a, b) of invertible dim x dim matrices over pool
     with ab = ba, in the order of enumerate_matrices for a, then for b.
 
-    Commuting is symmetric, so each unordered pair is checked once, by
-    whether ab - ba vanishes.
+    Commuting is symmetric, so each unordered pair is checked once, entry
+    by entry on the integer numerators: ab and ba share the denominator of
+    a times that of b, so they are equal exactly when their numerator
+    products are.
     """
     invertible = [m for m in enumerate_matrices(dim, dim, pool) if m.is_invertible()]
+    # The numerator rows and columns of each matrix.
+    lines = [
+        ([m.numerators[i * dim : (i + 1) * dim] for i in range(dim)],
+         [m.numerators[j::dim] for j in range(dim)])
+        for m in invertible
+    ]
     # partners[i] lists, ascending, the j whose matrix commutes with matrix i.
     partners: List[List[int]] = [[] for _ in invertible]
-    for i, a in enumerate(invertible):
+    for i, a in enumerate(lines):
         partners[i].append(i)
         for j in range(i + 1, len(invertible)):
-            b = invertible[j]
-            if combination_vanishes(((1, a, b), (-1, b, a))):
+            if _commute(a, lines[j]):
                 partners[i].append(j)
                 partners[j].append(i)
     return tuple((a, invertible[j]) for a, row in zip(invertible, partners) for j in row)
+
+
+def _commute(a: tuple, b: tuple) -> bool:
+    """Whether the numerator products ab and ba agree, given each matrix as
+    (rows, columns) of numerators; stops at the first entry that differs."""
+    (a_rows, a_cols), (b_rows, b_cols) = a, b
+    for a_row, b_row in zip(a_rows, b_rows):
+        for b_col, a_col in zip(b_cols, a_cols):
+            if sum(map(mul, a_row, b_col)) != sum(map(mul, b_row, a_col)):
+                return False
+    return True
 
 
 def _degree_minus_one_maps(
@@ -260,18 +284,24 @@ def _degree_minus_one_maps(
         yield GradedMap(space, space, -1, dict(zip(slots, choice)))
 
 
-def enumerate_sphere_representations() -> Iterator[Representation]:
-    """Every sphere-quiver representation of total dimension 1..2 in
-    degrees -2..2 with z-entries in {-1, 0, 1}: 28 of them."""
+def _sphere_builders() -> Iterator[Callable[[], Representation]]:
+    """For each exhaustive sphere representation, in order, the call that
+    builds and validates it."""
     quiver = sphere_quiver()
     for space in enumerate_spaces(2, (-2, 2)):
         for z in _degree_minus_one_maps(space, (-1, 0, 1)):
-            yield Representation(quiver, space, {"z": z})
+            yield partial(Representation, quiver, space, {"z": z})
 
 
-def enumerate_torus_representations() -> Iterator[Representation]:
-    """Every valid torus-quiver representation of total dimension 1..2 in
-    degrees -1..1 with entries in {-1, 1, 2}."""
+def enumerate_sphere_representations() -> Iterator[Representation]:
+    """Every sphere-quiver representation of total dimension 1..2 in
+    degrees -2..2 with z-entries in {-1, 0, 1}: 28 of them."""
+    return (build() for build in _sphere_builders())
+
+
+def _torus_builders() -> Iterator[Callable[[], Representation]]:
+    """For each exhaustive torus representation, in order, the call that
+    builds and validates it."""
     pool = (-1, 1, 2)
     quiver = torus_quiver()
     for space in enumerate_spaces(2, (-1, 1)):
@@ -279,18 +309,35 @@ def enumerate_torus_representations() -> Iterator[Representation]:
         pair_families = [commuting_invertible_pairs(space.dim(i), pool) for i in degrees]
         h_maps = tuple(_degree_minus_one_maps(space, pool))
         for pairs in itertools.product(*pair_families):
-            m = GradedMap(space, space, 0, {i: p[0] for i, p in zip(degrees, pairs)})
-            n = GradedMap(space, space, 0, {i: p[1] for i, p in zip(degrees, pairs)})
             for h in h_maps:
-                yield Representation(quiver, space, {"m": m, "n": n, "h": h})
+                yield partial(_torus_representation, quiver, space, pairs, h)
+
+
+def _torus_representation(
+    quiver: QuiverPresentation, space: GradedVectorSpace, pairs: tuple, h: GradedMap
+) -> Representation:
+    """The torus representation with blocks (m, n) = pairs, one pair per
+    degree of space in ascending order, and the map h."""
+    degrees = space.degrees()
+    m = GradedMap(space, space, 0, {i: p[0] for i, p in zip(degrees, pairs)})
+    n = GradedMap(space, space, 0, {i: p[1] for i, p in zip(degrees, pairs)})
+    return Representation(quiver, space, {"m": m, "n": n, "h": h})
+
+
+def enumerate_torus_representations() -> Iterator[Representation]:
+    """Every valid torus-quiver representation of total dimension 1..2 in
+    degrees -1..1 with entries in {-1, 1, 2}: 1068 of them."""
+    return (build() for build in _torus_builders())
 
 
 # ---------------------------------------------------------------------------
 # theorem checks
 
-# Most distinct self-pairs whose HF(V, V) one sweep keeps, which bounds the
-# table's memory (an entry of a max-dim 4 sweep takes about 1 KiB).  A full
-# table takes no more entries; the rest are computed every time they occur.
+# Most distinct self-pairs whose HF(V, V) one sweep keeps in one process,
+# which bounds the table's memory (an entry of a max-dim 4 sweep takes about
+# 1 KiB).  A full table takes no more entries; the rest are computed every
+# time they occur.  Each process of a split sweep fills its own table, so the
+# cap holds per process.
 _HF_TABLE_CAP = 4096
 
 
@@ -365,24 +412,51 @@ def _torus_violations(rep: Representation, label: str) -> List[Dict[str, object]
     return [_violation(label, rep.space, f"euler characteristic {chi} != 0")] if chi else []
 
 
+# What a sweep reports of one checked representation: its violations, or
+# None when it lies outside the statement's hypothesis and is not counted.
+Examine = Callable[[Representation, str], Optional[List[Dict[str, object]]]]
+
+
 def _sweep(
     theorem: str,
     quiver: QuiverPresentation,
-    exhaustive: Iterable[Representation],
     cfg: SampleConfig,
-    examine: Callable[[Representation, str], List[Dict[str, object]]],
+    examine: Examine,
+    builders: Tuple[Callable[[], Representation], ...] = (),
 ) -> TheoremReport:
-    """examine every exhaustive representation, then cfg.count samples."""
-    violations: List[Dict[str, object]] = []
-    checked = 0
-    for j, rep in enumerate(exhaustive):
-        violations.extend(examine(rep, f"exhaustive:{j}"))
-        checked += 1
-    for index in range(cfg.count):
-        rep = sample_representation_at(quiver, cfg, index)
-        violations.extend(examine(rep, f"sample:{index}"))
-        checked += 1
-    return TheoremReport(theorem, checked, tuple(violations))
+    """examine the representation each of builders builds, then cfg.count
+    samples.
+
+    The items are numbered in that order, sample i at position
+    len(builders) + i.  A split sweep (see _shares) examines them in chunks
+    of consecutive positions, and each process builds only the items of the
+    chunks it takes; the violations come back in position order, so the
+    report is the serial one.
+    """
+    size = len(builders)
+
+    def work(start: int, stop: int) -> Tuple[int, List[Dict[str, object]]]:
+        """(checked, violations) of the items at positions start..stop-1."""
+        checked, found = 0, []
+        for position in range(start, stop):
+            if position < size:
+                rep, label = builders[position](), f"exhaustive:{position}"
+            else:
+                index = position - size
+                rep, label = sample_representation_at(quiver, cfg, index), f"sample:{index}"
+            violations = examine(rep, label)
+            if violations is not None:
+                checked += 1
+                found += violations
+        return checked, found
+
+    items = size + cfg.count
+    results = run_chunks(work, items, worker_count(items))
+    return TheoremReport(
+        theorem,
+        sum(checked for checked, _ in results),
+        tuple(v for _, found in results for v in found),
+    )
 
 
 def check_sphere_theorem(cfg: SampleConfig) -> TheoremReport:
@@ -393,8 +467,7 @@ def check_sphere_theorem(cfg: SampleConfig) -> TheoremReport:
     reaching -k and k+2 for a space of spread k >= 1.
     """
     return _sweep(
-        "sphere", sphere_quiver(), enumerate_sphere_representations(), cfg,
-        _self_pair_check(),
+        "sphere", sphere_quiver(), cfg, _self_pair_check(), tuple(_sphere_builders())
     )
 
 
@@ -406,16 +479,12 @@ def check_concentrated_lemma(cfg: SampleConfig) -> TheoremReport:
     degree are outside the hypothesis and are skipped, so samples_checked
     counts only the spread >= 1 ones.
     """
-    violations: List[Dict[str, object]] = []
-    checked = 0
-    examine = _self_pair_check()
-    for index in range(cfg.count):
-        rep = sample_representation_at(sphere_quiver(), cfg, index)
-        if len(rep.space.degrees()) == 1:
-            continue
-        checked += 1
-        violations.extend(examine(rep, f"sample:{index}"))
-    return TheoremReport("concentrated", checked, tuple(violations))
+    self_pair = _self_pair_check()
+
+    def examine(rep: Representation, label: str) -> Optional[List[Dict[str, object]]]:
+        return None if len(rep.space.degrees()) == 1 else self_pair(rep, label)
+
+    return _sweep("concentrated", sphere_quiver(), cfg, examine)
 
 
 def check_torus_theorem(cfg: SampleConfig) -> TheoremReport:
@@ -426,8 +495,7 @@ def check_torus_theorem(cfg: SampleConfig) -> TheoremReport:
     a genus-1 surface.
     """
     return _sweep(
-        "torus", torus_quiver(), enumerate_torus_representations(), cfg,
-        _torus_violations,
+        "torus", torus_quiver(), cfg, _torus_violations, tuple(_torus_builders())
     )
 
 

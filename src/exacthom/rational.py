@@ -7,11 +7,11 @@ invertibility.  A matrix stores Python int numerators over one positive
 denominator, in lowest terms, so these run on ints and build no Fraction;
 rank is fraction-free (Bareiss) elimination on the numerators.  One row
 loop forms sums of products c * L @ R a numerator row at a time: the
-product collects its rows, and combination_vanishes, behind the d^2,
-relation and commuting checks, stops at the first nonzero row.  Entries
-read back one at a time are Fractions, and ``from_numerators``/``over``
-read and write the integer form, on which the tests build their own sums,
-scalings and transposes.  The Fraction reduced row echelon form and the
+product collects its rows, and combination_vanishes, behind the d^2 and
+relation checks, stops at the first nonzero row.  Entries read back one at
+a time are Fractions, and ``from_numerators``/``over`` read and write the
+integer form, on which the tests build their own sums, scalings and
+transposes.  The Fraction reduced row echelon form and the
 kernel basis stay for the benchmark tracer and the tests: the first is
 rank's reference, the second draws their random complexes.  Zero-by-n and
 n-by-zero matrices are first-class values: they represent zero maps in and
@@ -94,6 +94,12 @@ class RationalMatrix:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(nums)}"
             )
+        return cls._canonical(rows, cols, nums, den)
+
+    @classmethod
+    def _canonical(cls, rows: int, cols: int, nums: tuple[int, ...], den: int) -> "RationalMatrix":
+        """Trusted constructor: rows * cols numerators over den > 0, put in
+        lowest terms by their greatest common divisor with den."""
         g = gcd(den, *nums)
         if g != 1:
             den //= g
@@ -161,9 +167,12 @@ class RationalMatrix:
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Exact product, formed row by row by _combination_rows."""
-        out = [x for row in _combination_rows([(1, self, other)]) for x in row]
-        den = self.denominator * other.denominator
-        return RationalMatrix.from_numerators(self.rows, other.cols, out, den)
+        out: list[int] = []
+        for row in _combination_rows([(1, self, other)]):
+            out += row
+        return RationalMatrix._canonical(
+            self.rows, other.cols, tuple(out), self.denominator * other.denominator
+        )
 
     def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and pivot columns.
@@ -290,26 +299,34 @@ def _combination_rows(terms: Sequence[tuple]) -> Iterator[list[int]]:
     nonzero left entry needs them, so rows the left factor never uses cost
     nothing.
     """
-    left, right = terms[0][1], terms[0][2]
+    _, left, right = terms[0]
     rows, cols = left.rows, (right or left).cols
-    dens = []
-    for _, left, right in terms:
-        if right is not None and left.cols != right.rows:
+    # (c, denominator, inner size, left numerators, right numerators, right
+    # rows' nonzeros), with None for the right parts of a one-factor term.
+    prepared = []
+    for c, left, right in terms:
+        if right is None:
+            if left.rows != rows or left.cols != cols:
+                raise ShapeError(f"a {left.rows}x{left.cols} term in a {rows}x{cols} sum")
+            prepared.append((c, left.denominator, left.cols, left.numerators, None, None))
+            continue
+        if left.cols != right.rows:
             raise ShapeError(
                 f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}"
             )
-        if left.rows != rows or (right or left).cols != cols:
-            raise ShapeError(f"a {left.rows}x{(right or left).cols} term in a {rows}x{cols} sum")
-        dens.append(left.denominator * (right.denominator if right else 1))
-    den = lcm(*dens)
-    scaled = [
-        (c * (den // d), left.cols, left.numerators, right and right.numerators,
-         right and [None] * right.rows)
-        for (c, left, right), d in zip(terms, dens)
-    ]
+        if left.rows != rows or right.cols != cols:
+            raise ShapeError(f"a {left.rows}x{right.cols} term in a {rows}x{cols} sum")
+        prepared.append((
+            c, left.denominator * right.denominator, left.cols, left.numerators,
+            right.numerators, [None] * right.rows,
+        ))
+    # One term, or terms all over denominator 1, keep their coefficients.
+    if len(prepared) > 1 and any(term[1] != 1 for term in prepared):
+        den = lcm(*(term[1] for term in prepared))
+        prepared = [(c * (den // d), d, *rest) for c, d, *rest in prepared]
     for i in range(rows):
         acc = [0] * cols
-        for scale, k, left_nums, right_nums, right_rows in scaled:
+        for scale, _, k, left_nums, right_nums, right_rows in prepared:
             left_row = left_nums[i * k : (i + 1) * k]
             if right_nums is None:
                 for j, x in enumerate(left_row):

@@ -11,7 +11,6 @@ import random
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -29,17 +28,16 @@ from exacthom.cellular import (
     homology_of,
 )
 from exacthom.classify import (
+    CHECKS,
     SampleConfig,
     check_concentrated_lemma,
     check_sphere_theorem,
     check_torus_theorem,
-    sample_representation_at,
 )
 from exacthom.cli import main
 from exacthom.quiver import (
     floer_cohomology,
     hom_complex,
-    torus_quiver,
     torus_trivial_representation,
     zero_section_representation,
 )
@@ -178,39 +176,40 @@ def test_criterion_8_square_zero_enforcement(tmp_path):
         assert main(["classify", str(path)]) == 2
 
 
+# Large enough that verify splits each sweep over two CPUs where it may.
+DETERMINISM_RUNS = {
+    "sphere": SampleConfig(seed=42, count=600, max_total_dim=4),
+    "concentrated": SampleConfig(seed=42, count=600, max_total_dim=4),
+    "torus": SampleConfig(seed=42, count=200),
+}
+# The CLI in a process that may run on one CPU only, so it sweeps serially.
+ONE_CPU = (
+    "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    "from exacthom.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
 def test_criterion_9_determinism(capsys):
-    with criterion(9, "verify torus --seed 42 --count 200 --json is byte-identical, also in parallel"):
-        argv = ["verify", "torus", "--seed", "42", "--count", "200", "--json"]
+    with criterion(9, "verify --json is byte-identical for each theorem: repeated, concurrent, and on one CPU or all"):
+        for theorem, cfg in DETERMINISM_RUNS.items():
+            argv = ["verify", theorem, "--seed", str(cfg.seed), "--count", str(cfg.count),
+                    "--max-dim", str(cfg.max_total_dim), "--json"]
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            assert main(argv) == 0
+            assert capsys.readouterr().out == first
+            assert json.loads(first)["violations"] == []
+            assert json.loads(first) == CHECKS[theorem](cfg).to_payload()
 
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert json.loads(first)["violations"] == []
-
-        cmd = [sys.executable, "-m", "exacthom"] + argv
-        runs = [
-            subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)
-        ]
-        procs = [
-            subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            for _ in range(2)
-        ]
-        concurrent = [p.communicate()[0] for p in procs]
-        assert all(p.returncode == 0 for p in procs)
-        outputs = {r.stdout for r in runs} | set(concurrent)
-        assert len(outputs) == 1
-        assert outputs.pop().decode() == first
-
-        cfg = SampleConfig(seed=42, count=200)
-        serial = [sample_representation_at(torus_quiver(), cfg, i) for i in range(200)]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(
-                pool.map(
-                    lambda i: sample_representation_at(torus_quiver(), cfg, i),
-                    range(200),
-                )
-            )
-        assert parallel == serial
-        assert check_torus_theorem(cfg).to_payload() == json.loads(first)
+            default = [sys.executable, "-m", "exacthom", *argv]
+            one_cpu = [sys.executable, "-c", ONE_CPU, *argv]
+            runs = [subprocess.run(default, capture_output=True, check=True)]
+            procs = [
+                subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for cmd in (default, default, one_cpu)
+            ]
+            concurrent = [p.communicate() for p in procs]
+            assert all(p.returncode == 0 for p in procs)
+            outputs = {r.stdout for r in runs} | {out for out, _ in concurrent}
+            assert {err for _, err in concurrent} == {b""}
+            assert outputs == {first.encode()}

@@ -17,8 +17,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(exacthom.__file__)))
 
 SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
+if sys.argv[4] == "one_cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import spans
 from exacthom import cli
 tracer = spans.install()
@@ -30,10 +32,15 @@ print(json.dumps({"runs": runs, "metrics": tracer.metrics()}))
 """
 
 
-def traced(commands):
-    """Runs and per-layer metrics of the CLI commands, under spans.install()."""
+def traced(commands, one_cpu=False):
+    """Runs and per-layer metrics of the CLI commands, under spans.install().
+
+    The tracer counts calls in its own process only; with one_cpu the
+    process may run on one CPU, so no sweep is split into forked children.
+    """
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "bench"), SRC, json.dumps(commands)],
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "bench"), SRC, json.dumps(commands),
+         "one_cpu" if one_cpu else "all_cpus"],
         capture_output=True,
         text=True,
     )
@@ -94,7 +101,7 @@ def test_sphere_sweep_builds_one_hom_complex_per_distinct_self_pair():
             *(sample_representation_at(sphere_quiver(), cfg, i) for i in range(200))]
     distinct = {(rep.space, rep.maps["z"]) for rep in reps}
     assert len(reps) == 228 > len(distinct)
-    result = traced([["verify", "sphere", *SWEEP]])
+    result = traced([["verify", "sphere", *SWEEP]], one_cpu=True)
     assert result["runs"][0]["code"] == 0
     assert result["metrics"]["quiver.hom_complex.calls"] == len(distinct)
 

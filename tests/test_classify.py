@@ -1,3 +1,4 @@
+import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -20,9 +21,11 @@ from exacthom.classify import (
     enumerate_torus_representations,
     sample_representation_at,
 )
+from exacthom._shares import chunk_bounds
 from exacthom.graded import GradedVectorSpace
 from exacthom.errors import FormatError
 from exacthom.quiver import (
+    euler_of_hom,
     floer_cohomology,
     sphere_quiver,
     torus_quiver,
@@ -124,11 +127,17 @@ class TestEnumeration:
         assert len(pairs) == 9
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("pool", [(-1, 1, 2), (-1, 0, 1)])
+    @pytest.mark.parametrize("pool", [(-1, 1, 2), (-1, 0, 1), (Fraction(1, 2), -1, 2)])
     def test_commuting_pairs_equal_all_ordered_pairs(self, dim, pool):
         invertible = [m for m in enumerate_matrices(dim, dim, pool) if m.is_invertible()]
         naive = tuple((a, b) for a in invertible for b in invertible if a @ b == b @ a)
         assert commuting_invertible_pairs(dim, pool) == naive
+
+    def test_commuting_pairs_in_dimension_three(self):
+        invertible = [m for m in enumerate_matrices(3, 3, (0, 1)) if m.is_invertible()]
+        naive = tuple((a, b) for a in invertible for b in invertible if a @ b == b @ a)
+        assert commuting_invertible_pairs(3, (0, 1)) == naive
+        assert len(naive) > len(invertible)
 
     def test_commuting_pairs_are_commuting(self):
         for a, b in commuting_invertible_pairs(2, (Fraction(-1), Fraction(1))):
@@ -277,26 +286,33 @@ def content(rep):
     return rep.space, rep.maps["z"]
 
 
+def odd_nonzeros(rep):
+    """1 if the maps of rep hold an odd number of nonzero entries, else 0."""
+    return sum(x != 0 for m in rep.maps.values() for b in m.blocks().values() for x in b.numerators) % 2
+
+
+@pytest.fixture(params=["true", "skewed"])
+def hf(request, monkeypatch):
+    """floer_cohomology and euler_of_hom as they are, or made wrong where the
+    maps hold an odd number of nonzero entries, so that reports carry
+    violations: HF^0 one too large breaks duality, and chi becomes 1."""
+    if request.param == "skewed":
+        true_hf, true_euler = floer_cohomology, euler_of_hom
+
+        def skew(v, w):
+            dims = dict(true_hf(v, w).dims)
+            dims[0] = dims.get(0, 0) + odd_nonzeros(v)
+            return GradedVectorSpace(dims)
+
+        monkeypatch.setattr(exacthom.classify, "floer_cohomology", skew)
+        monkeypatch.setattr(exacthom.classify, "euler_of_hom", lambda v, w: true_euler(v, w) + odd_nonzeros(v))
+    return request.param
+
+
 class TestHFTable:
     """The per-sweep HF(V, V) table changes no report."""
 
     CHECKS = {"sphere": check_sphere_theorem, "concentrated": check_concentrated_lemma}
-
-    @pytest.fixture(params=["true", "skewed"])
-    def hf(self, request, monkeypatch):
-        """floer_cohomology as it is, or made to break duality where z has
-        an odd number of nonzero entries, so that reports carry violations."""
-        if request.param == "skewed":
-            true = floer_cohomology
-
-            def skew(v, w):
-                odd = sum(x != 0 for b in v.maps["z"].blocks().values() for x in b.numerators) % 2
-                dims = dict(true(v, w).dims)
-                dims[0] = dims.get(0, 0) + odd
-                return GradedVectorSpace(dims)
-
-            monkeypatch.setattr(exacthom.classify, "floer_cohomology", skew)
-        return request.param
 
     @pytest.mark.parametrize("theorem", ["sphere", "concentrated"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -327,7 +343,9 @@ class TestHFTable:
         assert report == reference_report(theorem, cfg)
 
     @pytest.mark.parametrize("cap", [0, 5, 40])
-    def test_table_stops_growing_at_its_cap(self, cap, monkeypatch):
+    def test_table_stops_growing_at_its_cap(self, cap, monkeypatch, cpus):
+        # The cap holds per process, and calls are counted in this one.
+        cpus(1)
         cfg = SampleConfig(seed=2, count=200, max_total_dim=4)
         kept, expected_calls = set(), 0
         for _, rep in sweep_reps("sphere", cfg):
@@ -343,3 +361,66 @@ class TestHFTable:
         report = check_sphere_theorem(cfg)
         assert len(calls) == expected_calls
         assert report.samples_checked == 228 and report.passed
+
+
+class TestSplitSweep:
+    """A sweep split over forked children reports what a serial one does."""
+
+    @staticmethod
+    def serial_and_split(theorem, cfg, children, cpus, monkeypatch):
+        """The report on one CPU, and on as many CPUs as children with its
+        forks counted."""
+        cpus(1)
+        serial = CHECKS[theorem](cfg)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cpus(children)
+        split = CHECKS[theorem](cfg)
+        assert len(forks) == children
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return serial, split
+
+    @pytest.mark.parametrize("theorem", ["sphere", "concentrated", "torus"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_children_report_what_one_process_does(self, hf, theorem, seed, cpus, monkeypatch):
+        cfg = SampleConfig(seed=seed, count=600, max_total_dim=4)
+        serial, split = self.serial_and_split(theorem, cfg, 2, cpus, monkeypatch)
+        assert split == serial
+        if hf == "skewed":
+            # The violations lie in most chunks, so the merge takes them
+            # from both children.
+            exhaustive = {"sphere": 28, "concentrated": 0, "torus": 1068}[theorem]
+            bounds = chunk_bounds(exhaustive + cfg.count)
+            chunks = {
+                next(c for c, (_, stop) in enumerate(bounds) if p < stop)
+                for p in (int(n) + (exhaustive if kind == "sample" else 0)
+                          for kind, n in (v["sample"].split(":") for v in serial.violations))
+            }
+            assert len(chunks) > len(bounds) // 2
+        else:
+            assert serial.passed
+
+    @pytest.mark.parametrize("hf", ["skewed"], indirect=True)
+    @pytest.mark.parametrize("theorem", ["sphere", "concentrated", "torus"])
+    def test_three_children_report_what_one_process_does(self, hf, theorem, cpus, monkeypatch):
+        cfg = SampleConfig(seed=1, count=800, max_total_dim=4)
+        serial, split = self.serial_and_split(theorem, cfg, 3, cpus, monkeypatch)
+        assert split == serial and len(serial.violations) > 100
+
+    def test_every_item_but_the_last_chunk_is_examined_once_in_a_child(self, cpus, monkeypatch):
+        """With HF wrong only in the children, every item outside the last
+        chunk (this process's own) is a violation, reported once and in
+        position order: 28 exhaustive, then samples."""
+        parent, true = os.getpid(), floer_cohomology
+        monkeypatch.setattr(
+            exacthom.classify, "floer_cohomology",
+            lambda v, w: GradedVectorSpace({}) if os.getpid() != parent else true(v, w),
+        )
+        cpus(3)
+        report = check_sphere_theorem(SampleConfig(seed=1, count=800, max_total_dim=4))
+        labels = [v["sample"] for v in report.violations]
+        last_start, _ = chunk_bounds(28 + 800)[-1]
+        assert sorted(set(labels), key=labels.index) == (
+            [f"exhaustive:{p}" for p in range(28)] + [f"sample:{i}" for i in range(last_start - 28)]
+        )
