@@ -121,8 +121,9 @@ def _sample_space(rng: random.Random, cfg: SampleConfig) -> GradedVectorSpace:
 
 
 def _sample_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
-    nums = [rng.choice(_SCALAR_POOL) for _ in range(rows * cols)]
-    return RationalMatrix.from_numerators(rows, cols, nums, 1)
+    # Integer entries over denominator 1 are already canonical.
+    choice = rng.choice
+    return RationalMatrix._raw(rows, cols, tuple([choice(_SCALAR_POOL) for _ in range(rows * cols)]), 1)
 
 
 def _sample_invertible(rng: random.Random, n: int) -> RationalMatrix:
@@ -136,7 +137,8 @@ def _sample_invertible(rng: random.Random, n: int) -> RationalMatrix:
 def _sample_degree_map(
     rng: random.Random, space: GradedVectorSpace, degree: int
 ) -> GradedMap:
-    blocks = {i: _sample_matrix(rng, space.dim(i + degree), space.dim(i)) for i in space.degrees()}
+    dims = space._dims
+    blocks = {i: _sample_matrix(rng, dims.get(i + degree, 0), n) for i, n in dims.items()}
     return GradedMap(space, space, degree, blocks)
 
 
@@ -162,8 +164,7 @@ def sample_representation_at(
     alpha_blocks: Dict[int, RationalMatrix] = {}
     beta_blocks: Dict[int, RationalMatrix] = {}
     diagonal_family = index % 3 == 2
-    for i in space.degrees():
-        d = space.dim(i)
+    for i, d in space._dims.items():
         if diagonal_family:
             a = _diagonal(rng, d)
             b = _diagonal(rng, d)
@@ -195,18 +196,19 @@ def _sample_polynomial_in(rng: random.Random, a: RationalMatrix) -> RationalMatr
     ident = [1 if i == j else 0 for i in range(n) for j in range(n)]
     linear = a.numerators
     quadratic = (a @ a).numerators
+    choice = rng.choice
     for _ in range(64):
-        c0, c1, c2 = (rng.choice(_SCALAR_POOL) for _ in range(3))
-        nums = [c0 * x + c1 * y + c2 * z for x, y, z in zip(ident, linear, quadratic)]
-        cand = RationalMatrix.from_numerators(n, n, nums, 1)
+        c0, c1, c2 = choice(_SCALAR_POOL), choice(_SCALAR_POOL), choice(_SCALAR_POOL)
+        nums = tuple([c0 * x + c1 * y + c2 * z for x, y, z in zip(ident, linear, quadratic)])
+        cand = RationalMatrix._raw(n, n, nums, 1)
         if cand.is_invertible():
             return cand
     return a
 
 
 def _diagonal(rng: random.Random, n: int) -> RationalMatrix:
-    nums = [rng.choice(_NONZERO_POOL) if i == j else 0 for i in range(n) for j in range(n)]
-    return RationalMatrix.from_numerators(n, n, nums, 1)
+    nums = tuple([rng.choice(_NONZERO_POOL) if i == j else 0 for i in range(n) for j in range(n)])
+    return RationalMatrix._raw(n, n, nums, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +347,9 @@ def _content(rep: Representation) -> tuple:
     """The exact content of a representation over a fixed quiver: the
     space's dims and each map's blocks as (degree, denominator, numerators)."""
     return (
-        tuple(rep.space.dims.items()),
+        tuple(rep.space._dims.items()),
         tuple(
-            tuple((i, b.denominator, b.numerators) for i, b in rep.maps[g.name].blocks().items())
+            tuple((i, b.denominator, b.numerators) for i, b in rep.maps[g.name]._blocks.items())
             for g in rep.quiver.generators
         ),
     )
@@ -383,25 +385,25 @@ def _self_pair_violations(
     and the support lies in [-k, k+2].  Only duality, HF^d = HF^{2-d}
     (k[z] with |z| = -1 is 2-Calabi–Yau), depends on the differential.
     """
-    lo, hi = min(space.degrees()), max(space.degrees())
-    k, ends = hi - lo, space.dim(lo) * space.dim(hi)
+    degrees, h = space.degrees(), hf._dims
+    k, ends = degrees[-1] - degrees[0], space.dim(degrees[0]) * space.dim(degrees[-1])
     out: List[Dict[str, object]] = []
 
     def flag(detail: str) -> None:
         out.append(_violation(label, space, detail))
 
     if k == 0:
-        if hf.dims != {0: ends, 2: ends}:
+        if h != {0: ends, 2: ends}:
             flag(f"cohomology {hf.dims} != {{0: {ends}, 2: {ends}}}")
     else:
-        if hf.dim(-k) != ends or hf.dim(k + 2) != ends:
+        if h.get(-k, 0) != ends or h.get(k + 2, 0) != ends:
             flag(
                 f"HF^{-k} = {hf.dim(-k)} and HF^{k + 2} = {hf.dim(k + 2)}, "
                 f"not dim V^lo * dim V^hi = {ends}"
             )
-        if any(not -k <= d <= k + 2 for d in hf.degrees()):
+        if any(not -k <= d <= k + 2 for d in h):
             flag(f"support {hf.degrees()} leaves [{-k}, {k + 2}]")
-    broken = sorted({min(d, 2 - d) for d in hf.degrees() if hf.dim(2 - d) != hf.dim(d)})
+    broken = sorted({min(d, 2 - d) for d in h if h.get(2 - d, 0) != h[d]})
     if broken:
         flag(f"duality HF^d = HF^(2-d) fails at d in {broken}: cohomology {hf.dims}")
     return out

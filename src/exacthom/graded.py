@@ -34,7 +34,7 @@ class GradedVectorSpace:
                 raise ShapeError(f"negative dimension {v} in degree {k}")
             if v > 0:
                 clean[k] = v
-        self._dims = dict(sorted(clean.items()))
+        self._dims = clean if [*clean] == sorted(clean) else dict(sorted(clean.items()))
 
     @property
     def dims(self) -> Dict[int, int]:
@@ -94,18 +94,19 @@ class GradedMap:
         self.source = source
         self.target = target
         self.degree = degree
+        rows_of, cols_of = target._dims, source._dims
         kept: Dict[int, RationalMatrix] = {}
         for i, blk in blocks.items():
             if type(i) is not int:
                 raise ShapeError(f"block degree {i!r} must be an int")
-            rows, cols = target.dim(i + degree), source.dim(i)
+            rows, cols = rows_of.get(i + degree, 0), cols_of.get(i, 0)
             if blk.rows != rows or blk.cols != cols:
                 raise ShapeError(
                     f"block at degree {i} must be {rows}x{cols}, got {blk.rows}x{blk.cols}"
                 )
-            if not blk.is_zero():
+            if any(blk.numerators):
                 kept[i] = blk
-        self._blocks = dict(sorted(kept.items()))
+        self._blocks = kept if [*kept] == sorted(kept) else dict(sorted(kept.items()))
 
     @classmethod
     def zero(

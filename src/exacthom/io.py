@@ -22,7 +22,7 @@ from .complexes import CochainComplex
 from .errors import FormatError, ShapeError, integer_literal, rational_literal
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import QuiverPresentation, Representation, builtin_quiver
-from .rational import RationalMatrix
+from .rational import RationalMatrix, combination_madds
 
 
 def load_document(path: str):
@@ -109,13 +109,32 @@ def _parse_blocks(obj, space: GradedVectorSpace, degree: int, what: str) -> Grad
         raise FormatError(f"{what}: {exc}")
 
 
+# Multiply-adds the d^2 check of a complex file may take, by
+# combination_madds.  The largest test or benchmark input takes 2,000,000:
+# the cancelling complex on {0: 1000, 1: 2, 2: 1000} in tests/test_complexes.py.
+MAX_SQUARE_CHECK_MADDS = 2_000_000
+
+
 def parse_complex(obj) -> CochainComplex:
-    """{"dims": {...}, "differential": {source-degree: matrix}}."""
+    """{"dims": {...}, "differential": {source-degree: matrix}}.
+
+    A complex whose d^2 check would take over MAX_SQUARE_CHECK_MADDS is
+    refused before the check: its work grows with the square of the file.
+    """
     mapping = _expect_mapping(obj, "complex")
     if "dims" not in mapping:
         raise FormatError("complex object needs a 'dims' field")
     space = parse_graded_space(mapping["dims"])
     diff = _parse_blocks(mapping.get("differential", {}), space, 1, "differential")
+    blocks = diff.blocks()
+    madds = sum(
+        combination_madds([(1, blocks[i + 1], b)]) for i, b in blocks.items() if i + 1 in blocks
+    )
+    if madds > MAX_SQUARE_CHECK_MADDS:
+        raise FormatError(
+            f"checking that d^2 = 0 needs {madds} multiply-adds, "
+            f"more than the {MAX_SQUARE_CHECK_MADDS} a complex file may ask for"
+        )
     return CochainComplex(space, diff)
 
 

@@ -7,14 +7,17 @@ representation assigns a graded vector space with zero differential and
 one graded map per generator, and its constructor refuses one that breaks
 the degree, relation, or invertibility constraints.  A relation is checked
 one source degree at a time by rational.combination_vanishes, which forms
-the sum of its words' products one row at a time and holds at most one row.
+the sum of its words' products one row at a time and holds at most one row;
+its terms are read once per presentation.
 
 The morphism complex of two representations is one unshifted copy of the
 graded hom space plus one copy shifted by |x|-1 per generator x.  Its
 differential sends (t0, t1, ..., tn) to (0, s1, ..., sn) with
 s_i = g_i t0 - (-1)^{|t0||x_i|} t0 f_i, and is only available when every
 generator's differential vanishes formally; the first component of the
-image being zero forces d^2 = 0.
+image being zero forces d^2 = 0.  Each entry of the differential goes to a
+position computed from the two spaces' dimensions, in the basis order of
+graded.hom_block_layout, with no basis or layout built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     UnsupportedDifferentialError,
     require_type,
 )
-from .graded import GradedMap, GradedVectorSpace, hom_block_layout, hom_space
+from .graded import GradedMap, GradedVectorSpace
 # Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
 from .graded import hom_basis, hom_coordinates  # noqa: F401
 from .rational import RationalMatrix, combination_vanishes
@@ -167,7 +170,9 @@ class Representation(Record):
         for name, m in maps.items():
             if name not in known:
                 raise RepresentationError(f"map for unknown generator {name!r}")
-            if m.source != space or m.target != space:
+            if (m.source is not space and m.source != space) or (
+                m.target is not space and m.target != space
+            ):
                 raise RepresentationError(
                     f"map for {name!r} must be an endomorphism of the representation space"
                 )
@@ -190,28 +195,27 @@ class Representation(Record):
         relation holds at source degree i iff combination_vanishes finds
         the sum of its words' composites out of degree i zero.
         """
-        for g in self.quiver.generators:
-            if self.maps[g.name].degree != g.degree:
+        generators, maps = self.quiver.generators, self.maps
+        for g in generators:
+            if maps[g.name].degree != g.degree:
                 return f"degree:{g.name}"
-        blocks = {name: m.blocks() for name, m in self.maps.items()}
-        degree_of = {g.name: g.degree for g in self.quiver.generators}
-        degrees = self.space.degrees()
-        for name, terms in self.quiver.relations:
+        blocks = {name: m._blocks for name, m in maps.items()}
+        degrees = self.space._dims
+        for name, terms in _relation_terms(self.quiver.relations):
             for i in degrees:
-                # The word x y applies y, then x; a letter without a block
-                # there makes its term zero.
+                # A letter without a block there makes its term zero.
                 combination = []
-                for coeff, word in terms:
-                    first = blocks[word[-1]].get(i)
+                for coeff, outer, inner in terms:
+                    first = blocks[inner].get(i)
                     if first is None:
                         continue
-                    if len(word) == 1:
+                    if outer is None:
                         combination.append((coeff, first, None))
-                    elif (second := blocks[word[0]].get(i + degree_of[word[-1]])) is not None:
+                    elif (second := blocks[outer].get(i + maps[inner].degree)) is not None:
                         combination.append((coeff, second, first))
                 if combination and not combination_vanishes(combination):
                     return f"relation:{name}"
-        for g in self.quiver.generators:
+        for g in generators:
             if not g.invertible:
                 continue
             stored = blocks[g.name]
@@ -220,6 +224,17 @@ class Representation(Record):
                 if b is None or not b.is_invertible():
                     return f"invertibility:{g.name}"
         return None
+
+
+@lru_cache(maxsize=None)
+def _relation_terms(relations: Tuple[Tuple[str, Tuple[Term, ...]], ...]) -> tuple:
+    """The relations with terms, each term as (coeff, outer, inner): the word
+    x y applies inner y, then outer x (None for a one-letter word)."""
+    return tuple(
+        (name, tuple((c, word[0] if len(word) == 2 else None, word[-1]) for c, word in terms))
+        for name, terms in relations
+        if terms
+    )
 
 
 def _require_same_quiver(v: Representation, w: Representation) -> None:
@@ -245,23 +260,6 @@ class HomComplexResult(Record):
         object.__setattr__(self, "differential_defined", differential_defined)
 
 
-def _hom_summands(
-    v: Representation, w: Representation
-) -> Tuple[GradedVectorSpace, GradedVectorSpace]:
-    u = hom_space(v.space, w.space)
-    shifts = [0] + [g.degree - 1 for g in v.quiver.generators]
-    u_dims = u.dims
-    dims: Dict[int, int] = {}
-    for shift in shifts:
-        for d, n in u_dims.items():
-            dims[d - shift] = dims.get(d - shift, 0) + n
-    return u, GradedVectorSpace(dims)
-
-
-# A generator acts by zero at a degree where its map stores no block.
-_NO_BLOCK = (0, 0, ())
-
-
 def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     """Morphism complex hom(v, w) with its differential when available.
 
@@ -269,48 +267,73 @@ def hom_complex(v: Representation, w: Representation) -> HomComplexResult:
     iff every generator has formally vanishing differential (true for the
     sphere presentation, false for the torus one); a differential over the
     entry budget of require_differential_fits is refused before it is built.
+
+    Entry (i, r, c) of the blocks V^i -> W^{i+d} is basis vector
+    starts[d][i] + r * dim V^i + c of hom^d, the hom_block_layout order.
     """
     _require_same_quiver(v, w)
     quiver = v.quiver
-    u, total = _hom_summands(v, w)
-    defined = quiver.all_differentials_vanish()
-    if not defined:
+    v_dims, w_dims = v.space._dims, w.space._dims
+    u: Dict[int, int] = {}  # dim hom^d
+    starts: Dict[int, Dict[int, int]] = {}
+    for i, n in v_dims.items():
+        for j, m in w_dims.items():
+            at = u.get(j - i, 0)
+            starts.setdefault(j - i, {})[i] = at
+            u[j - i] = at + n * m
+    dims = dict(u)
+    for g in quiver.generators:
+        for d, n in u.items():
+            dims[d + 1 - g.degree] = dims.get(d + 1 - g.degree, 0) + n
+    total = GradedVectorSpace(dims)
+    if not quiver.all_differentials_vanish():
         return HomComplexResult(CochainComplex.zero_differential(total), False)
     require_differential_fits(total)
 
-    # Column (i, r, c) of degree p is the elementary map E_rc: V^i -> W^{i+p}.
     # For x of degree e, x E_rc puts column r of rho_W(x) at W^{i+p} into
-    # column c, and E_rc x puts row c of rho_V(x) at V^{i-e} into row r.
-    # Blocks are read as (rows, cols, numerators) over one denominator den.
-    maps = [(g.degree, w.maps[g.name].blocks(), v.maps[g.name].blocks()) for g in quiver.generators]
+    # column c, and E_rc x puts row c of rho_V(x) at V^{i-e} into row r, of
+    # a block out of V^i, resp. V^{i-e}, in hom^{p+e}.  Blocks are read as
+    # numerators over one denominator den.
+    maps = [(g.degree, w.maps[g.name]._blocks, v.maps[g.name]._blocks) for g in quiver.generators]
     den = lcm(*(b.denominator for _, wb, vb in maps for b in (*wb.values(), *vb.values())))
-
-    def over_den(blocks):
-        return {i: (b.rows, b.cols, b.over(den)) for i, b in blocks.items()}
-
-    gens = [(e, over_den(wb), over_den(vb)) for e, wb, vb in maps]
-    # The basis of hom^d is empty exactly where u has no dimension.
-    basis = {d: hom_block_layout(v.space, w.space, d) for d in u.degrees()}
+    gens = [
+        (e, {i: b.over(den) for i, b in wb.items()}, {i: b.over(den) for i, b in vb.items()})
+        for e, wb, vb in maps
+    ]
     blocks: Dict[int, RationalMatrix] = {}
-    for p in total.degrees():
-        rows_dim = total.dim(p + 1)
-        if rows_dim == 0:
+    # Only the unshifted summand, hom^p, has nonzero columns.
+    for p, columns in starts.items():
+        rows_dim = dims.get(p + 1, 0)
+        if not rows_dim:
             continue
-        cols_dim = total.dim(p)
+        cols_dim = dims[p]
         out = [0] * (rows_dim * cols_dim)
-        off = u.dim(p + 1)
+        off = u.get(p + 1, 0)
         for e, w_blocks, v_blocks in gens:
-            pos = {key: off + k for k, key in enumerate(basis.get(p + e, ()))}
+            into = starts.get(p + e)
             sign = -1 if (p * e) % 2 else 1
-            for col, (i, r, c) in enumerate(basis.get(p, ())):
-                g_rows, g_cols, g = w_blocks.get(i + p, _NO_BLOCK)
-                _, f_cols, f = v_blocks.get(i - e, _NO_BLOCK)
-                for a in range(g_rows):
-                    out[pos[i, a, c] * cols_dim + col] += g[a * g_cols + r]
-                for b in range(f_cols):
-                    out[pos[i - e, r, b] * cols_dim + col] -= sign * f[c * f_cols + b]
-            off += u.dim(p + e)
-        blocks[p] = RationalMatrix.from_numerators(rows_dim, cols_dim, out, den)
+            for i, col0 in columns.items():
+                # Column (i, r, c) is col0 + r * n + c; stepping c moves one
+                # row and one column of the block alike.
+                n, m = v_dims[i], w_dims[i + p]
+                if (g := w_blocks.get(i + p)) is not None:
+                    for a in range(w_dims[i + p + e]):
+                        row = off + into[i] + a * n
+                        for r in range(m):
+                            if x := g[a * m + r]:
+                                at = row * cols_dim + col0 + r * n
+                                for c in range(n):
+                                    out[at + c * (cols_dim + 1)] += x
+                if (f := v_blocks.get(i - e)) is not None:
+                    k = v_dims[i - e]
+                    for c in range(n):
+                        for b in range(k):
+                            if x := sign * f[c * k + b]:
+                                at = (off + into[i - e] + b) * cols_dim + col0 + c
+                                for r in range(m):
+                                    out[at + r * (k * cols_dim + n)] -= x
+            off += u.get(p + e, 0)
+        blocks[p] = RationalMatrix._canonical(rows_dim, cols_dim, tuple(out), den)
     diff = GradedMap(total, total, 1, blocks)
     return HomComplexResult(CochainComplex(total, diff), True)
 

@@ -8,7 +8,9 @@ denominator, in lowest terms, so these run on ints and build no Fraction;
 rank is fraction-free (Bareiss) elimination on the numerators.  One row
 loop forms sums of products c * L @ R a numerator row at a time: the
 product collects its rows, and combination_vanishes, behind the d^2 and
-relation checks, stops at the first nonzero row.  Entries read back one at
+relation checks, stops at the first nonzero row; combination_madds counts
+the loop's multiply-adds beforehand.  Invertibility of a block up to 3x3 is
+its integer determinant, not a rank.  Entries read back one at
 a time are Fractions, and ``from_numerators``/``over`` read and write the
 integer form, on which the tests build their own sums, scalings and
 transposes.  The Fraction reduced row echelon form and the
@@ -283,8 +285,28 @@ class RationalMatrix:
         return RationalMatrix(self.cols, len(free), flat)
 
     def is_invertible(self) -> bool:
-        """True iff square and full rank; the 0x0 matrix is invertible."""
-        return self.rows == self.cols and self.rank() == self.rows
+        """True iff square and full rank; the 0x0 matrix is invertible.
+
+        Up to 3x3 the integer determinant of the numerators decides, as it
+        is den^n times the determinant; an invertible block keeps its rank.
+        Larger blocks are ranked.
+        """
+        n = self.rows
+        if n != self.cols:
+            return False
+        if self._rank is not None:
+            return self._rank == n
+        if n > 3:
+            return self.rank() == n
+        a = self.numerators
+        if n == 3:
+            det = (a[0] * (a[4] * a[8] - a[5] * a[7]) - a[1] * (a[3] * a[8] - a[5] * a[6])
+                   + a[2] * (a[3] * a[7] - a[4] * a[6]))
+        else:
+            det = a[0] * a[3] - a[1] * a[2] if n == 2 else a[0] if n else 1
+        if det:
+            self._rank = n
+        return det != 0
 
 
 
@@ -344,6 +366,22 @@ def _combination_rows(terms: Sequence[tuple]) -> Iterator[list[int]]:
                     for j, y in row:
                         acc[j] += x * y
         yield acc
+
+
+def combination_madds(terms: Sequence[tuple]) -> int:
+    """Multiply-adds _combination_rows makes on all rows of its terms' sum:
+    over the product terms and t, nnz(column t of L) * nnz(row t of R),
+    counted in one pass over the entries."""
+    total = 0
+    for _, left, right in terms:
+        if right is not None:
+            k, n = left.cols, right.cols
+            total += sum(
+                (left.rows - left.numerators[t::k].count(0))
+                * (n - right.numerators[t * n : (t + 1) * n].count(0))
+                for t in range(k)
+            )
+    return total
 
 
 def combination_vanishes(terms: Sequence[tuple]) -> bool:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -132,6 +133,21 @@ class TestHomology:
         path.write_text('{"dims": {"0": 2000, "1": 2000}}\n')
         assert path.stat().st_size == 33
         assert run(capsys, "homology", str(path))[:2] == (0, "H0=2000 H1=2000 chi=0\n")
+
+    def test_square_check_over_budget_refused(self, capsys, tmp_path):
+        """A 60 KB file whose d^2 check would take 32 M multiply-adds is
+        refused before the check runs."""
+        n = 4000
+        doc = {"dims": {"0": n, "1": 2, "2": n}, "differential": {"0": [[1] * n, [-1] * n], "1": [[1, 1]] * n}}
+        path = write_json(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "homology", path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: checking that d^2 = 0 needs 32000000 multiply-adds, "
+            "more than the 2000000 a complex file may ask for\n"
+        )
 
     # Input files refuse exactly these integer literals; so do builtin names.
     @pytest.mark.parametrize("command", ["homology", "classify"])

@@ -441,19 +441,24 @@ class TestHomComplex:
                     assert cx.differential.block(p).to_lists() == elementary_block(v, w, p)
 
     def test_differential_matches_elementary_assembly_on_mixed_degrees(self):
-        """Generators of degree 0, 1 and -2 with no relations.
+        """Generators of degree 0, 1 and -2, or 0, -3 and 1, with no relations.
 
         Only the unshifted summand maps out, so d^2 = 0 whatever the
         entries: this comparison is what pins the sign (-1)^{p|x|} and the
-        offset of each generator's summand.
+        offset of each generator's summand.  Besides random spaces on
+        degrees -2..2, it takes spaces with gaps and disjoint degree sets,
+        so that hom^d has source degrees with no target.
         """
-        quiver = QuiverPresentation(
-            (Generator("a", 0), Generator("b", 1), Generator("c", -2))
-        )
+        quivers = [
+            QuiverPresentation((Generator("a", 0), Generator("b", 1), Generator("c", -2))),
+            QuiverPresentation((Generator("a", 0), Generator("d", -3), Generator("b", 1))),
+        ]
         rng = random.Random(7)
 
-        def random_rep():
-            space = GradedVectorSpace({d: rng.randint(0, 2) for d in range(-2, 3)})
+        def random_rep(quiver, dims=None):
+            if dims is None:
+                dims = {d: rng.randint(0, 2) for d in range(-2, 3)}
+            space = GradedVectorSpace(dims)
             maps = {}
             for g in quiver.generators:
                 blocks = {}
@@ -466,12 +471,26 @@ class TestHomComplex:
                 maps[g.name] = GradedMap(space, space, g.degree, blocks)
             return Representation(quiver, space, maps)
 
+        def check(a, b):
+            cx = hom_complex(a, b).complex
+            for p in cx.space.degrees():
+                assert cx.differential.block(p).to_lists() == elementary_block(a, b, p)
+
         for _ in range(6):
-            v, w = random_rep(), random_rep()
+            v, w = random_rep(quivers[0]), random_rep(quivers[0])
             for a, b in [(v, v), (v, w)]:
-                cx = hom_complex(a, b).complex
-                for p in cx.space.degrees():
-                    assert cx.differential.block(p).to_lists() == elementary_block(a, b, p)
+                check(a, b)
+        spaces = [
+            ({-3: 1, 2: 2}, {0: 2, 1: 1}),  # disjoint
+            ({-3: 2, 0: 1, 2: 1}, {-1: 1, 2: 2}),  # gaps, one shared degree
+            ({-2: 1, 1: 2}, {-2: 1, 1: 2}),  # gap of 3, the degree of d
+            ({0: 1, 3: 1}, {-3: 1, 0: 2}),
+        ]
+        for quiver in quivers:
+            for dims_v, dims_w in spaces:
+                v, w = random_rep(quiver, dims_v), random_rep(quiver, dims_w)
+                for a, b in [(v, w), (w, v), (v, v), (w, w)]:
+                    check(a, b)
 
     def test_differential_squares_to_zero_on_samples(self):
         for blocks in [{}, {1: [[1]]}, {1: [[-1]]}]:

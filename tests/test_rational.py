@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,7 +8,7 @@ from reference import add, block_diag, fraction_rank, matrix, scale, transpose
 
 from exacthom.errors import FormatError, ShapeError
 from exacthom.classify import commuting_invertible_pairs, enumerate_matrices
-from exacthom.rational import RationalMatrix, combination_vanishes, rat
+from exacthom.rational import RationalMatrix, combination_madds, combination_vanishes, rat
 
 
 class TestRank:
@@ -216,6 +217,18 @@ class TestCombinationOracle:
             terms = ((1, a, b), (-1, b, a))
             assert combination_vanishes(terms) == ((a, b) in commuting) == reference_vanishes(terms)
 
+    def test_multiply_adds_match_a_count_over_entries(self):
+        """combination_madds counts, for each nonzero left entry (i, t) of a
+        product term, the nonzeros of right row t; one-factor terms count 0."""
+        for terms, _ in combination_cases(seed=62):
+            expected = 0
+            for _, left, right in terms:
+                if right is not None:
+                    for i, t in itertools.product(range(left.rows), range(left.cols)):
+                        if left[i, t]:
+                            expected += sum(1 for j in range(right.cols) if right[t, j])
+            assert combination_madds(terms) == expected
+
     def test_shape_mismatch(self):
         a, b = matrix([[1, 2]]), matrix([[1], [2]])
         for terms in [
@@ -333,6 +346,26 @@ class TestInvertible:
     def test_empty_matrix_is_invertible(self):
         # the unique map on the zero space is its own inverse
         assert RationalMatrix.zero(0, 0).is_invertible()
+
+    @pytest.mark.parametrize("n, pool", [
+        (1, (0, 1, -1, 2, "1/2", "-2/3")),
+        (2, (0, 1, -1, 2, "1/2", "-2/3")),
+        (3, (0, 1, "-1/2")),
+    ])
+    def test_determinant_path_matches_fraction_rank(self, n, pool):
+        """Every n x n matrix over pool: is_invertible() agrees with the
+        Fraction rank, and a rank it keeps is the rank of an equal matrix."""
+        pool = [rat(x) for x in pool]
+        seen = set()
+        for entries in itertools.product(pool, repeat=n * n):
+            m = RationalMatrix(n, n, entries)
+            invertible = m.is_invertible()
+            rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+            assert invertible == (fraction_rank(rows) == n), entries
+            if m._rank is not None:
+                assert m._rank == RationalMatrix(n, n, entries).rank()
+            seen.add((invertible, m._rank))
+        assert seen == {(True, n), (False, None)}
 
 
 @pytest.mark.parametrize("text", ["0.5", "1e3", " 1/2 ", "1_0", "\u0661", "abc", "1/0", "3/-4"])
