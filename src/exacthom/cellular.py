@@ -120,9 +120,10 @@ def chain_complex_of(cc: CellComplex) -> CochainComplex:
     """Boundary data as a cochain complex, i-cells in degree -i.
 
     The block out of degree -i is the boundary from i-cells to (i-1)-cells;
-    entry (b, a) is the coefficient of the pair a -> b.  Raises before any
-    block is built if the boundary would exceed the entry budget of
-    require_differential_fits, and after if it does not square to zero.
+    entry (b, a) is the coefficient of the pair a -> b.  Raises FormatError
+    before any block is built if the boundary would exceed the entry budget
+    of require_differential_fits, and after if its d^2 check would exceed
+    MAX_SQUARE_CHECK_MADDS; CellComplexError if it does not square to zero.
     """
     ids: Dict[int, List[str]] = {}  # dimension -> cell ids, only where there are cells
     for i, d in cc._dim_of.items():

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._record import Record
 from ._shares import run_chunks, worker_count
+from .complexes import MAX_DIFFERENTIAL_ENTRIES
 from .errors import FormatError, RepresentationError
 from .graded import GradedMap, GradedVectorSpace
 from .quiver import (
@@ -159,6 +160,16 @@ def sample_representation_at(
         )
     rng = _rng_for(cfg, index)
     space = _sample_space(rng, cfg)
+    # Refused before any block is drawn: the blocks of z, or of m, n and h.
+    dims = space._dims
+    entries = sum(n * dims.get(i - 1, 0) for i, n in dims.items())
+    if not sphere:
+        entries += 2 * sum(n * n for n in dims.values())
+    if entries > MAX_DIFFERENTIAL_ENTRIES:
+        raise FormatError(
+            f"sample:{index} needs {entries} block entries, "
+            f"more than the {MAX_DIFFERENTIAL_ENTRIES} a sample may hold"
+        )
     if sphere:
         return Representation(quiver, space, {"z": _sample_degree_map(rng, space, -1)})
     alpha_blocks: Dict[int, RationalMatrix] = {}

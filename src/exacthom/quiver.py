@@ -8,16 +8,20 @@ one graded map per generator, and its constructor refuses one that breaks
 the degree, relation, or invertibility constraints.  A relation is checked
 one source degree at a time by rational.combination_vanishes, which forms
 the sum of its words' products one row at a time and holds at most one row;
-its terms are read once per presentation.
+its terms are read once per presentation.  Before any product is formed, a
+representation whose checks could take over MAX_SQUARE_CHECK_MADDS
+multiply-adds by their dense shapes is counted exactly, and refused over it.
 
 The morphism complex of two representations is one unshifted copy of the
 graded hom space plus one copy shifted by |x|-1 per generator x.  Its
 differential sends (t0, t1, ..., tn) to (0, s1, ..., sn) with
 s_i = g_i t0 - (-1)^{|t0||x_i|} t0 f_i, and is only available when every
 generator's differential vanishes formally; the first component of the
-image being zero forces d^2 = 0.  Each entry of the differential goes to a
-position computed from the two spaces' dimensions, in the basis order of
-graded.hom_block_layout, with no basis or layout built.
+image being zero forces d^2 = 0, and no composite of the differential has a
+multiply-add, so the complex's d^2 check forms none.  Each entry of the
+differential goes to a position computed from the two spaces' dimensions,
+in the basis order of graded.hom_block_layout, with no basis or layout
+built.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from ._record import Record
-from .complexes import CochainComplex, require_differential_fits
+from .complexes import (
+    MAX_SQUARE_CHECK_MADDS,
+    CochainComplex,
+    require_check_fits,
+    require_differential_fits,
+)
 from .errors import (
     FormatError,
     RepresentationError,
@@ -36,9 +45,9 @@ from .errors import (
     require_type,
 )
 from .graded import GradedMap, GradedVectorSpace
-# Not used here; bench/spans.py patches these names until ROADMAP item 0 drops them.
+# Not used here; bench/spans.py patches these names until ROADMAP item 4 moves them.
 from .graded import hom_basis, hom_coordinates  # noqa: F401
-from .rational import RationalMatrix, combination_vanishes
+from .rational import RationalMatrix, combination_madds, combination_vanishes
 
 Word = Tuple[str, ...]
 Term = Tuple[int, Word]
@@ -193,7 +202,9 @@ class Representation(Record):
         Checks every generator's degree, then each relation in order, then
         the invertibility of every block of every invertible generator.  A
         relation holds at source degree i iff combination_vanishes finds
-        the sum of its words' composites out of degree i zero.
+        the sum of its words' composites out of degree i zero.  Raises
+        FormatError, before any composite is formed, if the relation checks
+        take over MAX_SQUARE_CHECK_MADDS multiply-adds.
         """
         generators, maps = self.quiver.generators, self.maps
         for g in generators:
@@ -201,6 +212,7 @@ class Representation(Record):
                 return f"degree:{g.name}"
         blocks = {name: m._blocks for name, m in maps.items()}
         degrees = self.space._dims
+        checks = []  # (name, combination) in the order they are checked
         for name, terms in _relation_terms(self.quiver.relations):
             for i in degrees:
                 # A letter without a block there makes its term zero.
@@ -213,8 +225,17 @@ class Representation(Record):
                         combination.append((coeff, first, None))
                     elif (second := blocks[outer].get(i + maps[inner].degree)) is not None:
                         combination.append((coeff, second, first))
-                if combination and not combination_vanishes(combination):
-                    return f"relation:{name}"
+                if combination:
+                    checks.append((name, combination))
+        # The dense shape bounds a product's multiply-adds, so only a check
+        # that could exceed the budget is counted exactly.
+        dense = sum(a.rows * a.cols * b.cols for _, c in checks for _, a, b in c if b is not None)
+        if dense > MAX_SQUARE_CHECK_MADDS:
+            madds = sum(combination_madds(c) for _, c in checks)
+            require_check_fits(madds, "checking the relations", "representation")
+        for name, combination in checks:
+            if not combination_vanishes(combination):
+                return f"relation:{name}"
         for g in generators:
             if not g.invertible:
                 continue

@@ -8,16 +8,17 @@ denominator, in lowest terms, so these run on ints and build no Fraction;
 rank is fraction-free (Bareiss) elimination on the numerators.  One row
 loop forms sums of products c * L @ R a numerator row at a time: the
 product collects its rows, and combination_vanishes, behind the d^2 and
-relation checks, stops at the first nonzero row; combination_madds counts
-the loop's multiply-adds beforehand.  Invertibility of a block up to 3x3 is
-its integer determinant, not a rank.  Entries read back one at
-a time are Fractions, and ``from_numerators``/``over`` read and write the
-integer form, on which the tests build their own sums, scalings and
-transposes.  The Fraction reduced row echelon form and the
-kernel basis stay for the benchmark tracer and the tests: the first is
-rank's reference, the second draws their random complexes.  Zero-by-n and
-n-by-zero matrices are first-class values: they represent zero maps in and
-out of the zero space.
+relation checks, stops at the first nonzero row.  combination_madds counts
+the loop's multiply-adds beforehand, so both checks bound their work before
+it starts, and the d^2 check skips a composite with none, which is zero.
+Invertibility of a block up to 3x3 is its integer determinant, not a rank.
+Entries read back one at a time are Fractions, and
+``from_numerators``/``over`` read and write the integer form, on which the
+tests build their own sums, scalings and transposes.  The Fraction reduced
+row echelon form and the kernel basis stay for the benchmark tracer and the
+tests: the first is rank's reference, the second draws their random
+complexes.  Zero-by-n and n-by-zero matrices are first-class values: they
+represent zero maps in and out of the zero space.
 """
 
 from __future__ import annotations
@@ -371,15 +372,16 @@ def _combination_rows(terms: Sequence[tuple]) -> Iterator[list[int]]:
 def combination_madds(terms: Sequence[tuple]) -> int:
     """Multiply-adds _combination_rows makes on all rows of its terms' sum:
     over the product terms and t, nnz(column t of L) * nnz(row t of R),
-    counted in one pass over the entries."""
+    counted in one pass over the entries; column t is read only where row t
+    has a nonzero."""
     total = 0
     for _, left, right in terms:
         if right is not None:
             k, n = left.cols, right.cols
             total += sum(
-                (left.rows - left.numerators[t::k].count(0))
-                * (n - right.numerators[t * n : (t + 1) * n].count(0))
+                (left.rows - left.numerators[t::k].count(0)) * r
                 for t in range(k)
+                if (r := n - right.numerators[t * n : (t + 1) * n].count(0))
             )
     return total
 

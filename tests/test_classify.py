@@ -113,6 +113,32 @@ class TestSampling:
         assert any(s >= 1 for s in spreads)
 
 
+class TestSampleBudget:
+    """A sample whose blocks would hold more than MAX_DIFFERENTIAL_ENTRIES
+    entries is refused after its space is drawn and before any block is."""
+
+    @pytest.mark.parametrize("quiver", [sphere_quiver(), torus_quiver()], ids=["sphere", "torus"])
+    def test_refused_before_any_block(self, quiver, monkeypatch):
+        monkeypatch.setattr(exacthom.classify, "_sample_matrix", lambda *a: pytest.fail("drawn"))
+        cfg = SampleConfig(seed=0, count=1, max_total_dim=20000)
+        with pytest.raises(FormatError, match=r"^sample:0 needs \d+ block entries, more than the 2000000 a sample may hold$"):
+            sample_representation_at(quiver, cfg, 0)
+
+    @pytest.mark.parametrize("quiver", [sphere_quiver(), torus_quiver()], ids=["sphere", "torus"])
+    def test_budget_counts_the_blocks_held(self, quiver, monkeypatch):
+        cfg = SampleConfig(seed=3, count=20, max_total_dim=5)
+        for index in range(cfg.count):
+            rep = sample_representation_at(quiver, cfg, index)
+            dims = rep.space.dims
+            held = sum(dims.get(i + m.degree, 0) * n for m in rep.maps.values() for i, n in dims.items())
+            with monkeypatch.context() as patched:
+                patched.setattr(exacthom.classify, "MAX_DIFFERENTIAL_ENTRIES", held)
+                assert sample_representation_at(quiver, cfg, index) == rep
+                patched.setattr(exacthom.classify, "MAX_DIFFERENTIAL_ENTRIES", held - 1)
+                with pytest.raises(FormatError, match=f"^sample:{index} needs {held} block entries"):
+                    sample_representation_at(quiver, cfg, index)
+
+
 class TestEnumeration:
     def test_space_count_dim1(self):
         # one basis vector in one of five degrees

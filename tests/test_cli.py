@@ -522,6 +522,67 @@ class TestDifferentialBudget:
         assert run(capsys, command, path) == (2, "", self.REFUSED.format(2250000))
 
 
+def cancelling_cells(n):
+    """n 0-cells, 1-cells a and b each with coefficient 1 to every 0-cell, and
+    n 2-cells with coefficient 1 to a and -1 to b: the boundary squares to
+    zero, and checking that takes 2 n^2 multiply-adds."""
+    cells = [{"id": f"v{k}", "dim": 0} for k in range(n)]
+    cells += [{"id": "a", "dim": 1}, {"id": "b", "dim": 1}]
+    cells += [{"id": f"f{k}", "dim": 2} for k in range(n)]
+    incidence = [{"from": e, "to": f"v{k}", "coeff": 1} for e in "ab" for k in range(n)]
+    incidence += [{"from": f"f{k}", "to": e, "coeff": c} for k in range(n) for e, c in (("a", 1), ("b", -1))]
+    return {"cells": cells, "incidence": incidence}
+
+
+class TestSquareCheckBudget:
+    """Every complex and every representation bounds its own d^2 or relation
+    check by the same multiply-add budget, whatever file it came from."""
+
+    def test_cell_file_over_budget_refused(self, capsys, tmp_path):
+        path = write_json(tmp_path, cancelling_cells(4000))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "homology", path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: checking that d^2 = 0 needs 32000000 multiply-adds, "
+            "more than the 2000000 a complex file may ask for\n"
+        )
+
+    def test_cell_file_at_budget_prints(self, capsys, tmp_path):
+        path = write_json(tmp_path, cancelling_cells(1000))
+        assert run(capsys, "homology", path) == (0, "H0=999 H1=0 H2=999 chi=1998\n", "")
+
+    def test_relation_check_over_budget_refused(self, capsys, tmp_path):
+        """dg = y x - y x through a one-dimensional degree: n x n products."""
+        n = 4000
+        quiver = {
+            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": -1}, {"name": "g", "degree": -1}],
+            "relations": [{"generator": "g", "terms": [{"coeff": 1, "word": ["y", "x"]}, {"coeff": -1, "word": ["y", "x"]}]}],
+        }
+        doc = {"quiver": quiver, "space": {"0": n, "1": 1}, "maps": {"x": {"0": [[1] * n]}, "y": {"1": [[1]] * n}}}
+        path = write_json(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "floer", path, path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: checking the relations needs 32000000 multiply-adds, "
+            "more than the 2000000 a representation file may ask for\n"
+        )
+
+    def test_sample_over_budget_refused_before_drawing(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "sphere", "--max-dim", "20000", "--count", "1", "--seed", "0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "error: sample:0 needs 8817819 block entries, more than the 2000000 a sample may hold\n"
+        assert peak < 1 << 20
+
+
 class TestStartup:
     def test_import_loads_no_code_introspection_modules(self):
         """Importing the CLI adds none of dataclasses, inspect, ast, dis or tokenize."""

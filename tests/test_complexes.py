@@ -1,16 +1,20 @@
 import hashlib
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from reference import direct_sum, graded_map, random_complex, shift
 from test_acceptance import SEED, _random_dims
 
 from exacthom import complexes
+from exacthom.classify import SampleConfig, check_sphere_theorem, enumerate_sphere_representations
 from exacthom.complexes import CochainComplex
-from exacthom.errors import InvalidComplexError
+from exacthom.errors import FormatError, InvalidComplexError
 from exacthom.graded import GradedMap, GradedVectorSpace
 from exacthom.io import parse_complex
+from exacthom.quiver import hom_complex
+from exacthom.rational import RationalMatrix, combination_madds
 
 
 def complex_from(dims, blocks=None):
@@ -47,24 +51,35 @@ class TestValidate:
 
 class TestCheckOnce:
     @pytest.fixture
-    def composites(self, monkeypatch):
-        """Counts d^2 composites checked: one combination_vanishes call each."""
-        calls = []
-        vanishes = complexes.combination_vanishes
+    def checks(self, monkeypatch):
+        """Counts the d^2 check's calls: combination_madds counts each
+        composite once, and combination_vanishes forms one."""
+        calls = {"counted": 0, "formed": 0}
 
-        def counted(terms):
-            calls.append(terms)
-            return vanishes(terms)
+        def counting(name, fn):
+            def counted(terms):
+                calls[name] += 1
+                return fn(terms)
 
-        monkeypatch.setattr(complexes, "combination_vanishes", counted)
+            return counted
+
+        monkeypatch.setattr(complexes, "combination_madds", counting("counted", complexes.combination_madds))
+        monkeypatch.setattr(complexes, "combination_vanishes", counting("formed", complexes.combination_vanishes))
         return calls
 
-    def test_checked_complex_squares_once(self, composites):
+    def test_checked_complex_squares_once(self, checks):
+        # Column 1 of d^1 meets row 1 of d^0, which is zero: no multiply-add,
+        # so the composite is counted but not formed.
         c = complex_from({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[0, 1]]})
         first = c.cohomology()
         assert c.cohomology() == first
         assert c.cohomology().euler() == c.space.euler()
-        assert len(composites) == 1
+        assert checks == {"counted": 1, "formed": 0}
+
+    def test_composite_with_multiply_adds_formed_once(self, checks):
+        c = complex_from({0: 1, 1: 2, 2: 1}, {0: [[1], [1]], 1: [[1, -1]]})
+        assert c.cohomology() == c.cohomology()
+        assert checks == {"counted": 1, "formed": 1}
 
     def test_cached_cohomology_cannot_be_mutated(self):
         c = surface_complex(1)
@@ -111,6 +126,137 @@ class TestSquareCheckMemory:
         cx, peak = traced_peak(lambda: parse_complex(doc))
         assert peak < 2 << 20
         assert cx.cohomology().dims == {0: n - 1, 2: n - 1}
+
+
+def reference_composite_vanishes(left, right):
+    """Oracle: form left @ right entry by entry over Fraction, then compare
+    every entry with zero."""
+    a, b = left.to_lists(), right.to_lists()
+    return all(
+        sum((a[i][t] * b[t][j] for t in range(left.cols)), Fraction(0)) == 0
+        for i in range(left.rows)
+        for j in range(right.cols)
+    )
+
+
+def squares_to_zero(left, right):
+    """Whether the complex with d^0 = right and d^1 = left constructs."""
+    space = GradedVectorSpace({0: right.cols, 1: right.rows, 2: left.rows})
+    try:
+        CochainComplex(space, GradedMap(space, space, 1, {0: right, 1: left}))
+    except InvalidComplexError:
+        return False
+    return True
+
+
+def random_block(rng, rows, cols, zero_rows=(), zero_cols=()):
+    pool = (-2, -1, 0, 0, 1, 2, "1/2", "-3/4")
+    return RationalMatrix(rows, cols, [
+        0 if i in zero_rows or j in zero_cols else rng.choice(pool)
+        for i in range(rows) for j in range(cols)
+    ])
+
+
+class TestCountFirst:
+    """The d^2 check counts each composite's multiply-adds first, refuses
+    over the budget, and forms only a composite with some."""
+
+    def test_validate_matches_the_fraction_reference(self):
+        rng = random.Random(41)
+        seen = set()
+        for k in range(300):
+            a, b, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            kind = k % 3
+            if kind == 0:
+                # Disjoint supports: the rows of d^0 that are nonzero meet
+                # only zero columns of d^1, so the count is 0.
+                split = set(rng.sample(range(b), rng.randint(0, b)))
+                right = random_block(rng, b, a, zero_rows=split)
+                left = random_block(rng, c, b, zero_cols=set(range(b)) - split)
+            elif kind == 1:
+                # d^0 spans part of the kernel of d^1: nonzero count, zero composite.
+                left = random_block(rng, c, b)
+                kernel = left.kernel_basis()
+                if kernel.cols == 0:
+                    continue
+                right = RationalMatrix(b, a, [
+                    sum((rng.choice((-1, 1, 2)) * kernel[i, j] for j in range(kernel.cols)), Fraction(0))
+                    if rng.random() < 0.8 else 0
+                    for i in range(b) for _ in range(a)
+                ])
+            else:
+                left, right = random_block(rng, c, b), random_block(rng, b, a)
+            expected = reference_composite_vanishes(left, right)
+            assert squares_to_zero(left, right) == expected
+            seen.add((combination_madds([(1, left, right)]) > 0, expected))
+        assert seen == {(False, True), (True, True), (True, False)}
+
+    def test_morphism_complex_composites_count_nothing(self):
+        """Every composable pair of every morphism complex between two of the
+        28 exhaustive sphere representations has no multiply-add."""
+        reps = list(enumerate_sphere_representations())
+        assert len(reps) == 28
+        pairs = 0
+        for v in reps:
+            for w in reps:
+                blocks = hom_complex(v, w).complex.differential.blocks()
+                for i, b in blocks.items():
+                    if i + 1 in blocks:
+                        assert combination_madds([(1, blocks[i + 1], b)]) == 0
+                        pairs += 1
+        assert pairs > 100
+
+    def test_misplaced_entry_is_caught(self):
+        """A nonzero entry of d^p moved into an unshifted-summand row (a
+        nonzero column t of d^(p+1)) makes the composite nonzero, and the
+        count sees it."""
+        moved = 0
+        for v in enumerate_sphere_representations():
+            cx = hom_complex(v, v).complex
+            blocks = dict(cx.differential.blocks())
+            for p, right in cx.differential.blocks().items():
+                left = blocks.get(p + 1)
+                if left is None:
+                    continue
+                t = next(j for j in range(left.cols) if any(left[i, j] for i in range(left.rows)))
+                r, c = next((i, j) for i in range(right.rows) for j in range(right.cols) if right[i, j])
+                nums = list(right.numerators)
+                nums[t * right.cols + c], nums[r * right.cols + c] = nums[r * right.cols + c], 0
+                bad = dict(blocks)
+                bad[p] = RationalMatrix.from_numerators(right.rows, right.cols, nums, right.denominator)
+                with pytest.raises(InvalidComplexError):
+                    CochainComplex(cx.space, GradedMap(cx.space, cx.space, 1, bad))
+                moved += 1
+        assert moved > 5
+
+    def test_over_budget_refused_before_any_composite(self, monkeypatch):
+        """Built in the library, not read from a file, the same bound holds:
+        32 M multiply-adds are refused and no composite is formed."""
+        monkeypatch.setattr(complexes, "combination_vanishes", lambda terms: pytest.fail("formed"))
+        n = 4000
+        with pytest.raises(FormatError) as info:
+            complex_from({0: n, 1: 2, 2: n}, {0: [[1] * n, [-1] * n], 1: [[1, 1]] * n})
+        assert str(info.value) == (
+            "checking that d^2 = 0 needs 32000000 multiply-adds, "
+            "more than the 2000000 a complex file may ask for"
+        )
+
+    def test_sphere_sweep_forms_no_composite(self, monkeypatch, cpus):
+        """validate runs once per morphism complex and forms no composite."""
+        cpus(1)
+        formed, constructed, validated = [], [], []
+        monkeypatch.setattr(complexes, "combination_vanishes", lambda terms: formed.append(terms))
+        construct, validate = CochainComplex.__init__, CochainComplex.validate
+        monkeypatch.setattr(
+            CochainComplex, "__init__", lambda self, *a: constructed.append(1) or construct(self, *a)
+        )
+        monkeypatch.setattr(
+            CochainComplex, "validate", lambda self: validated.append(1) or validate(self)
+        )
+        report = check_sphere_theorem(SampleConfig(seed=4, count=300, max_total_dim=4))
+        assert report.passed and report.samples_checked == 328
+        assert formed == []
+        assert len(validated) == len(constructed) > 100
 
 
 class TestCohomology:

@@ -7,6 +7,7 @@ from reference import (
     add, block_diag, fraction_rank, graded_map, map_add, map_scale, matrix, scale, space_shift, space_sum,
 )
 
+from exacthom import quiver as quiver_module
 from exacthom.errors import (
     FormatError,
     RepresentationError,
@@ -218,6 +219,52 @@ class TestValidation:
         rep = Representation(sphere_quiver(), GradedVectorSpace({0: 1}), {})
         assert rep.maps["z"].is_zero()
         assert rep.maps["z"].degree == -1
+
+
+class TestRelationCheckBudget:
+    """dg = y x - y x through a one-dimensional degree: each term is an
+    n x n product of n^2 multiply-adds, 2 n^2 in all."""
+
+    QUIVER = QuiverPresentation(
+        (Generator("x", 1), Generator("y", -1), Generator("g", -1)),
+        (("g", ((1, ("y", "x")), (-1, ("y", "x")))),),
+    )
+
+    def rep(self, n, x_row):
+        space = GradedVectorSpace({0: n, 1: 1})
+        maps = {
+            "x": GradedMap(space, space, 1, {0: RationalMatrix.from_numerators(1, n, x_row, 1)}),
+            "y": GradedMap(space, space, -1, {1: RationalMatrix.from_numerators(n, 1, [1] * n, 1)}),
+        }
+        return Representation(self.QUIVER, space, maps)
+
+    def test_refused_before_any_product(self, monkeypatch):
+        monkeypatch.setattr(quiver_module, "combination_vanishes", lambda terms: pytest.fail("formed"))
+        with pytest.raises(FormatError) as info:
+            self.rep(4000, [1] * 4000)
+        assert str(info.value) == (
+            "checking the relations needs 32000000 multiply-adds, "
+            "more than the 2000000 a representation file may ask for"
+        )
+
+    def test_exactly_the_budget_is_checked(self):
+        assert self.rep(1000, [1] * 1000).first_violation() is None
+
+    def test_sparse_check_counted_exactly(self):
+        """Dense shapes of 8 M multiply-adds, but x has one nonzero entry:
+        the exact count, 4000, is within the budget."""
+        assert self.rep(2000, [0] * 1999 + [1]).first_violation() is None
+
+    def test_violation_still_reported(self):
+        """A relation that fails within the budget names its constraint."""
+        q = QuiverPresentation(self.QUIVER.generators, (("g", ((1, ("y", "x")),)),))
+        space = GradedVectorSpace({0: 1000, 1: 1})
+        maps = {
+            "x": GradedMap(space, space, 1, {0: RationalMatrix.from_numerators(1, 1000, [1] * 1000, 1)}),
+            "y": GradedMap(space, space, -1, {1: RationalMatrix.from_numerators(1000, 1, [1] * 1000, 1)}),
+        }
+        with pytest.raises(RepresentationError, match="^invalid representation: constraint relation:g$"):
+            Representation(q, space, maps)
 
 
 def reference_first_violation(quiver, space, maps):
